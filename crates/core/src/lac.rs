@@ -226,192 +226,311 @@ impl ConstraintIndex {
 /// One applied slide step, for rollback: `(vertex, delta)`.
 type SlideStep = (usize, i64);
 
-/// Working state of the flip-flop placement legaliser.
+/// A beam-search state: `(excess, r, weights, counts)`.
+type State = (i64, Vec<i64>, Vec<i64>, Vec<i64>);
+
+/// Width, depth and per-state fan-out of the cluster-move beam search.
+const BEAM_WIDTH: usize = 4;
+const MAX_DEPTH: usize = 24;
+const MAX_CANDIDATES: usize = 64;
+
+/// FNV-style fingerprint of a retiming vector, for the tabu set.
+fn fingerprint(r: &[i64]) -> u64 {
+    r.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+        (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Flip-flop placement legaliser of one LAC run: the graph's static
+/// indexes, built once, plus the working state of the call in progress
+/// and scratch buffers reused across calls.
+///
+/// Every move touches only what it changes: cluster membership is an
+/// epoch-stamped mark, boundary edges come from the members' own edges,
+/// slides walk per-tile edge lists, and a beam candidate is undone from
+/// a journal of the vertices and edges it touched.
 struct Legalizer<'g> {
     graph: &'g RetimeGraph,
+    cons: ConstraintIndex,
     /// Integer per-tile capacities `⌊caps_ff⌋`.
     cap: Vec<i64>,
     /// Single in/out edge of chain-interior interconnect vertices.
     only_in: Vec<Option<EdgeId>>,
     only_out: Vec<Option<EdgeId>>,
+    /// `tile_edges[t]`: the edges whose tail lies in tile `t`, ascending.
+    tile_edges: Vec<Vec<EdgeId>>,
+
+    // State of the current call.
     r: Vec<i64>,
     weights: Vec<i64>,
     counts: Vec<i64>,
+    /// Running `Σ weights`.
+    flops: i64,
+
+    // Scratch.
+    /// `mark[x] == epoch` iff `x` is in the cluster being grown.
+    mark: Vec<u32>,
+    epoch: u32,
+    members: Vec<usize>,
+    log: Vec<SlideStep>,
+    candidates: Vec<(usize, bool)>,
+    /// Vertices and edges changed since the last [`Legalizer::revert`].
+    touched_r: Vec<usize>,
+    touched_w: Vec<usize>,
+
+    /// Statistics of the current call, flushed once at its end.
+    stats: LegalizeStats,
 }
 
-/// Flip-flop placement legalisation: clears residual local-area violations
-/// a weighted min-area round leaves behind. A weighted retiming always
-/// lands on an extreme point of the constraint polytope, and near a tight
-/// packing every extreme point over- or under-shoots, so a few excess
-/// flip-flops remain that only *local* moves can place. Two move kinds,
-/// each a sequence of single-vertex retimings validated against the full
-/// constraint system (edge legality + clock period):
-///
-/// * **chain slides** — a flip-flop on a connection chain slides along the
-///   chain (the route the wire actually takes) into any tile with spare
-///   capacity; interconnect units have exactly one fanin and fanout, so
-///   the total flip-flop count never changes;
-/// * **cluster moves** — when a chain never leaves the overfull tile, the
-///   flip-flop can only escape by retiming a functional endpoint of its
-///   connection. A unit retiming of a vertex *set* S (`r(S) ± 1`) moves
-///   flip-flops across S's boundary only: every boundary edge that loses a
-///   flip-flop must carry one, and every constraint that tightens must
-///   have slack. Growing S from a seed gate by closure — absorb the far
-///   endpoint of any flop-less losing edge and of any tight constraint —
-///   always yields a legal composite move (or hits the host / a size cap
-///   and is abandoned). Single-gate retimings, chain re-staging and
-///   multi-fanin pull-throughs all arise as special cases.
-fn legalize_flop_placement(
-    graph: &RetimeGraph,
-    cons: &ConstraintIndex,
-    caps_ff: &[f64],
-    outcome: &mut RetimingOutcome,
-) {
-    // Single in/out edge of every interconnect vertex (chains are linear).
-    let n = graph.num_vertices();
-    let mut only_in = vec![None; n];
-    let mut only_out = vec![None; n];
-    for v in graph.vertex_ids() {
-        if graph.kind(v) == VertexKind::Interconnect {
-            let ins: Vec<_> = graph.in_edges(v).collect();
-            let outs: Vec<_> = graph.out_edges(v).collect();
-            if ins.len() == 1 && outs.len() == 1 {
-                only_in[v.index()] = Some(ins[0]);
-                only_out[v.index()] = Some(outs[0]);
+/// Move statistics of one legaliser call.
+#[derive(Debug, Default)]
+struct LegalizeStats {
+    cluster_tried: u64,
+    cluster_applied: u64,
+    tabu_hits: u64,
+    slide_attempts: u64,
+}
+
+impl<'g> Legalizer<'g> {
+    fn new(graph: &'g RetimeGraph, constraints: &[Constraint], caps_ff: &[f64]) -> Self {
+        // Single in/out edge of every interconnect vertex (chains are
+        // linear).
+        let n = graph.num_vertices();
+        let mut only_in = vec![None; n];
+        let mut only_out = vec![None; n];
+        for v in graph.vertex_ids() {
+            if graph.kind(v) == VertexKind::Interconnect {
+                let mut ins = graph.in_edges(v);
+                let mut outs = graph.out_edges(v);
+                if let (Some(i), None, Some(o), None) =
+                    (ins.next(), ins.next(), outs.next(), outs.next())
+                {
+                    only_in[v.index()] = Some(i);
+                    only_out[v.index()] = Some(o);
+                }
             }
         }
-    }
-
-    let weights = std::mem::take(&mut outcome.weights);
-    let counts = TileOccupancy::compute(graph, &weights, caps_ff).counts;
-    let mut lg = Legalizer {
-        graph,
-        cap: caps_ff.iter().map(|c| c.floor().max(0.0) as i64).collect(),
-        only_in,
-        only_out,
-        r: std::mem::take(&mut outcome.retiming),
-        weights,
-        counts,
-    };
-
-    lg.slide_pass(cons);
-
-    // Cluster moves, explored with a small beam search; a flip-flop
-    // budget keeps N_F within a few percent of the optimum.
-    //
-    // A single move often trades one violation for another (the freed
-    // flip-flops land on chains that are also tight), so greedy descent
-    // dead-ends: reaching zero can require passing through states whose
-    // violation count is temporarily worse. The beam keeps the BEAM_WIDTH
-    // best unexplored states per depth, never revisits a state
-    // (fingerprint tabu), and returns the best state seen anywhere.
-    let budget = {
-        let flops: i64 = lg.weights.iter().sum();
-        flops + (flops / 20).max(2)
-    };
-    const BEAM_WIDTH: usize = 4;
-    const MAX_DEPTH: usize = 24;
-    const MAX_CANDIDATES: usize = 64;
-    // FNV-style fingerprint of the retiming vector, for the tabu set.
-    fn fingerprint(r: &[i64]) -> u64 {
-        r.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
-            (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-    type State = (i64, Vec<i64>, Vec<i64>, Vec<i64>);
-    // Membership-only tabu set — never iterated, so hash ordering cannot
-    // leak into which states the beam explores. (The frontier itself is
-    // built in deterministic seed order and sorted stably by excess, so
-    // equal-excess states keep their insertion order.)
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(fingerprint(&lg.r));
-    let mut best: State = (
-        lg.total_excess(),
-        lg.r.clone(),
-        lg.weights.clone(),
-        lg.counts.clone(),
-    );
-    let mut beam: Vec<State> = vec![best.clone()];
-    for _depth in 0..MAX_DEPTH {
-        if best.0 == 0 {
-            break;
+        // Edges charged to each tile, in ascending edge order.
+        let mut tile_edges = vec![Vec::new(); caps_ff.len()];
+        for (ei, e) in graph.edges().iter().enumerate() {
+            if let Some(t) = graph.tile(e.from) {
+                tile_edges[t].push(EdgeId(ei as u32));
+            }
         }
-        let mut frontier: Vec<State> = Vec::new();
-        for (_, r0, w0, c0) in &beam {
-            lg.r = r0.clone();
-            lg.weights = w0.clone();
-            lg.counts = c0.clone();
+        Self {
+            graph,
+            cons: ConstraintIndex::new(n, constraints),
+            cap: caps_ff.iter().map(|c| c.floor().max(0.0) as i64).collect(),
+            only_in,
+            only_out,
+            tile_edges,
+            r: Vec::new(),
+            weights: Vec::new(),
+            counts: Vec::new(),
+            flops: 0,
+            mark: vec![0; n],
+            epoch: 0,
+            members: Vec::new(),
+            log: Vec::new(),
+            candidates: Vec::new(),
+            touched_r: Vec::new(),
+            touched_w: Vec::new(),
+            stats: LegalizeStats::default(),
+        }
+    }
 
-            // Seeds: the two endpoints of every connection holding a
-            // flip-flop charged to an overfull tile. Retiming the source
-            // side up (a cluster grown from it) frees the flip-flop
-            // backwards onto the source's fanins; retiming the sink side
-            // down pulls it forwards onto the sink's fanouts.
-            let mut candidates: Vec<(usize, bool)> = Vec::new();
-            for ei in 0..graph.num_edges() {
-                let e = EdgeId(ei as u32);
-                if lg.weights[ei] == 0 || !lg.overfull(graph.tile(graph.edge(e).from)) {
+    /// Flip-flop placement legalisation: clears residual local-area
+    /// violations a weighted min-area round leaves behind. A weighted
+    /// retiming always lands on an extreme point of the constraint
+    /// polytope, and near a tight packing every extreme point over- or
+    /// under-shoots, so a few excess flip-flops remain that only *local*
+    /// moves can place. Two move kinds, each a sequence of single-vertex
+    /// retimings validated against the full constraint system (edge
+    /// legality + clock period):
+    ///
+    /// * **chain slides** — a flip-flop on a connection chain slides along
+    ///   the chain (the route the wire actually takes) into any tile with
+    ///   spare capacity; interconnect units have exactly one fanin and
+    ///   fanout, so the total flip-flop count never changes;
+    /// * **cluster moves** — when a chain never leaves the overfull tile,
+    ///   the flip-flop can only escape by retiming a functional endpoint
+    ///   of its connection. A unit retiming of a vertex *set* S
+    ///   (`r(S) ± 1`) moves flip-flops across S's boundary only: every
+    ///   boundary edge that loses a flip-flop must carry one, and every
+    ///   constraint that tightens must have slack. Growing S from a seed
+    ///   gate by closure — absorb the far endpoint of any flop-less losing
+    ///   edge and of any tight constraint — always yields a legal
+    ///   composite move (or hits the host / a size cap and is abandoned).
+    ///   Single-gate retimings, chain re-staging and multi-fanin
+    ///   pull-throughs all arise as special cases.
+    fn legalize(&mut self, outcome: &mut RetimingOutcome) {
+        let _span = lacr_obs::span!("lac.legalize");
+        let graph = self.graph;
+        self.weights = std::mem::take(&mut outcome.weights);
+        self.r = std::mem::take(&mut outcome.retiming);
+        self.counts.clear();
+        self.counts.resize(self.cap.len(), 0);
+        for (e, &w) in graph.edges().iter().zip(&self.weights) {
+            if let Some(t) = graph.tile(e.from) {
+                self.counts[t] += w;
+            }
+        }
+        self.flops = self.weights.iter().sum();
+        let excess_before = self.total_excess();
+
+        self.slide_pass();
+
+        // Cluster moves, explored with a small beam search; a flip-flop
+        // budget keeps N_F within a few percent of the optimum.
+        //
+        // A single move often trades one violation for another (the freed
+        // flip-flops land on chains that are also tight), so greedy
+        // descent dead-ends: reaching zero can require passing through
+        // states whose violation count is temporarily worse. The beam
+        // keeps the BEAM_WIDTH best unexplored states per depth, never
+        // revisits a state (fingerprint tabu), and returns the best state
+        // seen anywhere.
+        let budget = self.flops + (self.flops / 20).max(2);
+        // Membership-only tabu set — never iterated, so hash ordering
+        // cannot leak into which states the beam explores. (The frontier
+        // keeps the BEAM_WIDTH lowest-excess states in arrival order among
+        // equals, so equal-excess states keep their insertion order.)
+        let mut seen = std::collections::HashSet::new();
+        seen.insert(fingerprint(&self.r));
+        let mut best: State = (
+            self.total_excess(),
+            self.r.clone(),
+            self.weights.clone(),
+            self.counts.clone(),
+        );
+        let mut beam: Vec<State> = vec![best.clone()];
+        let mut frontier: Vec<State> = Vec::with_capacity(BEAM_WIDTH + 1);
+        let mut spare: Vec<State> = Vec::new();
+        for _depth in 0..MAX_DEPTH {
+            if best.0 == 0 {
+                break;
+            }
+            for (_, r0, w0, c0) in &beam {
+                self.r.clone_from(r0);
+                self.weights.clone_from(w0);
+                self.counts.clone_from(c0);
+                let flops0: i64 = w0.iter().sum();
+                self.flops = flops0;
+
+                self.collect_candidates();
+                for ci in 0..self.candidates.len() {
+                    let (seed, up) = self.candidates[ci];
+                    self.touched_r.clear();
+                    self.touched_w.clear();
+                    self.stats.cluster_tried += 1;
+                    if self.try_cluster_move(seed, up, budget) {
+                        self.stats.cluster_applied += 1;
+                        self.slide_pass();
+                        if seen.insert(fingerprint(&self.r)) {
+                            let excess = self.total_excess();
+                            self.offer(&mut frontier, &mut spare, excess);
+                        } else {
+                            self.stats.tabu_hits += 1;
+                        }
+                    }
+                    self.revert(r0, w0, c0);
+                    self.flops = flops0;
+                }
+            }
+            if frontier.is_empty() {
+                break;
+            }
+            if frontier[0].0 < best.0 {
+                let (e, r, w, c) = &frontier[0];
+                best.0 = *e;
+                best.1.clone_from(r);
+                best.2.clone_from(w);
+                best.3.clone_from(c);
+            }
+            spare.append(&mut beam);
+            std::mem::swap(&mut beam, &mut frontier);
+        }
+        let (excess_after, r, weights, _) = best;
+        let stats = std::mem::take(&mut self.stats);
+        lacr_obs::counter!("lac.cluster_tried", stats.cluster_tried);
+        lacr_obs::counter!("lac.cluster_applied", stats.cluster_applied);
+        lacr_obs::counter!("lac.tabu_hits", stats.tabu_hits);
+        lacr_obs::counter!("lac.slide_attempts", stats.slide_attempts);
+        lacr_obs::gauge!("lac.excess_before", excess_before);
+        lacr_obs::gauge!("lac.excess_after", excess_after);
+
+        outcome.total_flops = weights.iter().sum();
+        outcome.period = graph
+            .clock_period(&weights)
+            .expect("legalised weights stay acyclic on zero-weight subgraph");
+        outcome.retiming = r;
+        outcome.weights = weights;
+    }
+
+    /// Offers the current state to the frontier, which keeps the
+    /// `BEAM_WIDTH` lowest-excess states, earlier arrivals first among
+    /// equals — what a stable sort by excess of every arrival, truncated
+    /// to `BEAM_WIDTH`, would keep. Buffers come from `spare`.
+    fn offer(&self, frontier: &mut Vec<State>, spare: &mut Vec<State>, excess: i64) {
+        if frontier.len() == BEAM_WIDTH && frontier[BEAM_WIDTH - 1].0 <= excess {
+            return;
+        }
+        let mut state = spare.pop().unwrap_or_default();
+        state.0 = excess;
+        state.1.clone_from(&self.r);
+        state.2.clone_from(&self.weights);
+        state.3.clone_from(&self.counts);
+        let at = frontier.partition_point(|s| s.0 <= excess);
+        frontier.insert(at, state);
+        if frontier.len() > BEAM_WIDTH {
+            spare.extend(frontier.pop());
+        }
+    }
+
+    /// Seeds of the cluster moves: the two endpoints of every connection
+    /// holding a flip-flop charged to an overfull tile. Retiming the
+    /// source side up (a cluster grown from it) frees the flip-flop
+    /// backwards onto the source's fanins; retiming the sink side down
+    /// pulls it forwards onto the sink's fanouts.
+    fn collect_candidates(&mut self) {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        for t in 0..self.cap.len() {
+            if self.counts[t] <= self.cap[t] {
+                continue;
+            }
+            for &e in &self.tile_edges[t] {
+                if self.weights[e.index()] == 0 {
                     continue;
                 }
-                candidates.push((lg.connection_source(e).index(), true));
-                candidates.push((lg.connection_sink(e).index(), false));
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            candidates.truncate(MAX_CANDIDATES);
-
-            for (seed, up) in candidates {
-                if lg.try_cluster_move(cons, seed, up, budget) {
-                    lg.slide_pass(cons);
-                    let fp = fingerprint(&lg.r);
-                    if seen.insert(fp) {
-                        frontier.push((
-                            lg.total_excess(),
-                            lg.r.clone(),
-                            lg.weights.clone(),
-                            lg.counts.clone(),
-                        ));
-                    }
-                }
-                lg.r = r0.clone();
-                lg.weights = w0.clone();
-                lg.counts = c0.clone();
+                candidates.push((self.connection_source(e).index(), true));
+                candidates.push((self.connection_sink(e).index(), false));
             }
         }
-        if frontier.is_empty() {
-            break;
-        }
-        frontier.sort_by_key(|(excess, ..)| *excess);
-        frontier.truncate(BEAM_WIDTH);
-        if frontier[0].0 < best.0 {
-            best = frontier[0].clone();
-        }
-        beam = frontier;
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates.truncate(MAX_CANDIDATES);
+        self.candidates = candidates;
     }
-    let (_, r, weights, counts) = best;
-    lg.r = r;
-    lg.weights = weights;
-    lg.counts = counts;
 
-    outcome.total_flops = lg.weights.iter().sum();
-    outcome.period = graph
-        .clock_period(&lg.weights)
-        .expect("legalised weights stay acyclic on zero-weight subgraph");
-    outcome.retiming = lg.r;
-    outcome.weights = lg.weights;
-}
+    /// Restores the beam state `(r0, w0, c0)` after a candidate, touching
+    /// only the vertices and edges the candidate changed.
+    fn revert(&mut self, r0: &[i64], w0: &[i64], c0: &[i64]) {
+        for &x in &self.touched_r {
+            self.r[x] = r0[x];
+        }
+        for &ei in &self.touched_w {
+            self.weights[ei] = w0[ei];
+        }
+        self.counts.copy_from_slice(c0);
+    }
 
-impl Legalizer<'_> {
     fn total_excess(&self) -> i64 {
         self.counts
             .iter()
             .zip(&self.cap)
             .map(|(&c, &k)| (c - k).max(0))
             .sum()
-    }
-
-    fn overfull(&self, t: Option<usize>) -> bool {
-        t.is_some_and(|t| self.counts[t] > self.cap[t])
     }
 
     /// The functional (or host) vertex driving the connection `e` lies on,
@@ -434,6 +553,10 @@ impl Legalizer<'_> {
         head
     }
 
+    fn in_cluster(&self, x: usize) -> bool {
+        self.mark[x] == self.epoch
+    }
+
     /// Grows the closure of `{seed}` for a legal unit retiming of a whole
     /// vertex set (`r[S] += 1` when `increment`, else `r[S] -= 1`):
     ///
@@ -442,124 +565,145 @@ impl Legalizer<'_> {
     /// * a constraint that would tighten and is already tight forces its
     ///   far endpoint into S (constraints inside S never change).
     ///
-    /// Returns the membership mask, or `None` when the closure exceeds
-    /// `max_size` or swallows the whole graph (a no-op shift). The host may
-    /// join S: weights and constraints only depend on retiming differences,
-    /// and moves through the host are how flip-flops reach the pad ring.
-    fn grow_cluster(
-        &self,
-        cons: &ConstraintIndex,
-        seed: usize,
-        increment: bool,
-        max_size: usize,
-    ) -> Option<Vec<bool>> {
-        let mut in_s = vec![false; self.graph.num_vertices()];
-        let mut queue = vec![seed];
-        in_s[seed] = true;
-        let mut size = 1usize;
-        while let Some(x) = queue.pop() {
-            if size > max_size.min(self.graph.num_vertices() - 1) {
-                return None;
+    /// On success S is left in `members` (and marked with the current
+    /// epoch). Returns `false` when the closure swallows the whole graph
+    /// (a no-op shift). The host may join S: weights and constraints only
+    /// depend on retiming differences, and moves through the host are how
+    /// flip-flops reach the pad ring.
+    fn grow_cluster(&mut self, seed: usize, increment: bool) -> bool {
+        let graph = self.graph;
+        let n = graph.num_vertices();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: no stale stamp may equal a live epoch.
+            self.mark.iter_mut().for_each(|m| *m = 0);
+            self.epoch = 1;
+        }
+        self.members.clear();
+        self.absorb(seed);
+        // `members` doubles as the work list: the closure is the same
+        // whatever order its members are expanded in.
+        let mut next = 0;
+        while next < self.members.len() {
+            if self.members.len() == n {
+                return false;
             }
+            let x = self.members[next];
+            next += 1;
             let v = VertexId(x as u32);
-            let mut absorb = Vec::new();
             if increment {
-                for e in self.graph.out_edges(v) {
+                for e in graph.out_edges(v) {
                     if self.weights[e.index()] == 0 {
-                        absorb.push(self.graph.edge(e).to.index());
+                        self.absorb(graph.edge(e).to.index());
                     }
                 }
-                for &(y, b) in &cons.by_u[x] {
+                for ci in 0..self.cons.by_u[x].len() {
+                    let (y, b) = self.cons.by_u[x][ci];
                     if self.r[x] - self.r[y] >= b {
-                        absorb.push(y);
+                        self.absorb(y);
                     }
                 }
             } else {
-                for e in self.graph.in_edges(v) {
+                for e in graph.in_edges(v) {
                     if self.weights[e.index()] == 0 {
-                        absorb.push(self.graph.edge(e).from.index());
+                        self.absorb(graph.edge(e).from.index());
                     }
                 }
-                for &(y, b) in &cons.by_v[x] {
+                for ci in 0..self.cons.by_v[x].len() {
+                    let (y, b) = self.cons.by_v[x][ci];
                     if self.r[y] - self.r[x] >= b {
-                        absorb.push(y);
+                        self.absorb(y);
                     }
-                }
-            }
-            for y in absorb {
-                if !in_s[y] {
-                    in_s[y] = true;
-                    queue.push(y);
-                    size += 1;
                 }
             }
         }
-        Some(in_s)
+        self.members.len() < n
+    }
+
+    /// Adds `y` to the cluster being grown, unless already a member.
+    fn absorb(&mut self, y: usize) {
+        if self.mark[y] != self.epoch {
+            self.mark[y] = self.epoch;
+            self.members.push(y);
+        }
     }
 
     /// Grows a cluster from `seed` and applies its unit retiming unless it
     /// would exceed the flip-flop `budget`. `true` iff applied.
-    fn try_cluster_move(
-        &mut self,
-        cons: &ConstraintIndex,
-        seed: usize,
-        increment: bool,
-        budget: i64,
-    ) -> bool {
-        let max_cluster = self.graph.num_vertices();
-        let Some(in_s) = self.grow_cluster(cons, seed, increment, max_cluster) else {
+    fn try_cluster_move(&mut self, seed: usize, increment: bool, budget: i64) -> bool {
+        if !self.grow_cluster(seed, increment) {
             return false;
-        };
+        }
+        let graph = self.graph;
         let d: i64 = if increment { 1 } else { -1 };
+        // Boundary edges: a member's out-edge to a non-member loses `d`
+        // flip-flops, a member's in-edge from a non-member gains `d`.
         let mut flop_delta = 0i64;
-        for e in self.graph.edges() {
-            match (in_s[e.from.index()], in_s[e.to.index()]) {
-                (true, false) => flop_delta -= d,
-                (false, true) => flop_delta += d,
-                _ => {}
+        for &x in &self.members {
+            let v = VertexId(x as u32);
+            for e in graph.out_edges(v) {
+                if !self.in_cluster(graph.edge(e).to.index()) {
+                    flop_delta -= d;
+                }
+            }
+            for e in graph.in_edges(v) {
+                if !self.in_cluster(graph.edge(e).from.index()) {
+                    flop_delta += d;
+                }
             }
         }
-        if self.weights.iter().sum::<i64>() + flop_delta > budget {
+        if self.flops + flop_delta > budget {
             return false;
         }
-        for (x, &m) in in_s.iter().enumerate() {
-            if m {
-                self.r[x] += d;
+        self.flops += flop_delta;
+        for mi in 0..self.members.len() {
+            let x = self.members[mi];
+            self.r[x] += d;
+            self.touched_r.push(x);
+            let v = VertexId(x as u32);
+            for e in graph.out_edges(v) {
+                if !self.in_cluster(graph.edge(e).to.index()) {
+                    self.shift_edge(e, -d);
+                }
             }
-        }
-        for (ei, e) in self.graph.edges().iter().enumerate() {
-            let delta = match (in_s[e.from.index()], in_s[e.to.index()]) {
-                (true, false) => -d,
-                (false, true) => d,
-                _ => continue,
-            };
-            self.weights[ei] += delta;
-            debug_assert!(self.weights[ei] >= 0, "cluster closure guarantees legality");
-            if let Some(t) = self.graph.tile(e.from) {
-                self.counts[t] += delta;
+            for e in graph.in_edges(v) {
+                if !self.in_cluster(graph.edge(e).from.index()) {
+                    self.shift_edge(e, d);
+                }
             }
         }
         true
     }
 
+    /// Adds `delta` flip-flops to edge `e`, charging its tail's tile.
+    fn shift_edge(&mut self, e: EdgeId, delta: i64) {
+        let ei = e.index();
+        self.weights[ei] += delta;
+        debug_assert!(
+            self.weights[ei] >= 0,
+            "legal moves keep edge weights non-negative"
+        );
+        self.touched_w.push(ei);
+        if let Some(t) = self.graph.tile(self.graph.edge(e).from) {
+            self.counts[t] += delta;
+        }
+    }
+
     /// Runs chain slides to exhaustion: every flip-flop charged to an
     /// overfull tile is offered a slide towards spare capacity, until a
     /// full sweep makes no progress.
-    fn slide_pass(&mut self, cons: &ConstraintIndex) {
+    fn slide_pass(&mut self) {
         loop {
             let mut progress = false;
             for t in 0..self.cap.len() {
                 while self.counts[t] > self.cap[t] {
                     let mut moved = false;
-                    for ei in 0..self.graph.num_edges() {
+                    for i in 0..self.tile_edges[t].len() {
                         if self.counts[t] <= self.cap[t] {
                             break;
                         }
-                        let tail = self.graph.edges()[ei].from;
-                        if self.weights[ei] > 0
-                            && self.graph.tile(tail) == Some(t)
-                            && self.slide_flop(cons, EdgeId(ei as u32), t)
-                        {
+                        let e = self.tile_edges[t][i];
+                        if self.weights[e.index()] > 0 && self.slide_flop(e, t) {
                             moved = true;
                         }
                     }
@@ -574,91 +718,104 @@ impl Legalizer<'_> {
             }
         }
     }
-}
 
-impl Legalizer<'_> {
     /// Tries to move one flip-flop off edge `e` (charged to overfull tile
     /// `from_tile`) by sliding it downstream, then upstream, along its
     /// connection chain until it lands in a tile with spare capacity.
     /// Applies the move and returns `true` on success; leaves all state
     /// untouched and returns `false` otherwise.
-    fn slide_flop(&mut self, cons: &ConstraintIndex, e: EdgeId, from_tile: usize) -> bool {
-        // Downstream: repeatedly decrement the head of the flop's edge.
-        let mut log: Vec<SlideStep> = Vec::new();
-        let mut cur = e;
-        loop {
-            let head = self.graph.edge(cur).to;
-            let x = head.index();
-            let (Some(_), Some(eout)) = (self.only_in[x], self.only_out[x]) else {
-                break;
-            };
-            if self.weights[cur.index()] < 1 || !cons.can_decrement(&self.r, x) {
-                break;
-            }
-            self.r[x] -= 1;
-            self.weights[cur.index()] -= 1;
-            self.weights[eout.index()] += 1;
-            let dst = self.graph.tile(head).expect("interconnect units are tiled");
-            if let Some(t) = self.graph.tile(self.graph.edge(cur).from) {
-                self.counts[t] -= 1;
-            }
-            self.counts[dst] += 1;
-            log.push((x, -1));
-            if dst != from_tile && self.counts[dst] <= self.cap[dst] {
-                return true;
-            }
-            cur = eout;
-        }
-        self.rollback(&log);
+    fn slide_flop(&mut self, e: EdgeId, from_tile: usize) -> bool {
+        self.stats.slide_attempts += 1;
+        self.slide(e, from_tile, -1) || self.slide(e, from_tile, 1)
+    }
 
-        // Upstream: repeatedly increment the tail of the flop's edge.
-        let mut log: Vec<SlideStep> = Vec::new();
+    /// One chain step of the flop on `cur`, sliding downstream (`d = −1`,
+    /// decrementing the head of `cur`) or upstream (`d = +1`, incrementing
+    /// its tail): the vertex retimed, the edge the flop lands on and the
+    /// tile it is then charged to. `None` where the chain ends.
+    fn chain_step(&self, cur: EdgeId, d: i64) -> Option<(usize, EdgeId, Option<usize>)> {
+        let edge = self.graph.edge(cur);
+        let x = if d < 0 { edge.to } else { edge.from };
+        let (Some(ein), Some(eout)) = (self.only_in[x.index()], self.only_out[x.index()]) else {
+            return None;
+        };
+        Some(if d < 0 {
+            (x.index(), eout, self.graph.tile(x))
+        } else {
+            (x.index(), ein, self.graph.tile(self.graph.edge(ein).from))
+        })
+    }
+
+    /// Slides the flop on `e` along its chain in direction `d` (see
+    /// [`Legalizer::chain_step`]) until it is charged to a tile other than
+    /// `from_tile` that has room for it. Rolls back and returns `false`
+    /// when the chain ends or a step is illegal first.
+    fn slide(&mut self, e: EdgeId, from_tile: usize, d: i64) -> bool {
+        // While the flop slides only its own charge moves, so it lands in
+        // tile `t` iff `t != from_tile` and `counts[t] < cap[t]` before the
+        // slide. The legality checks are the cost: walk the chain for such
+        // a tile first. (A chain longer than the graph is a cycle.)
         let mut cur = e;
-        loop {
-            let tail = self.graph.edge(cur).from;
-            let x = tail.index();
-            let (Some(ein), Some(_)) = (self.only_in[x], self.only_out[x]) else {
+        let mut reachable = false;
+        for _ in 0..self.graph.num_vertices() {
+            let Some((_, next, t)) = self.chain_step(cur, d) else {
                 break;
             };
-            if self.weights[cur.index()] < 1 || !cons.can_increment(&self.r, x) {
+            if t.is_some_and(|t| t != from_tile && self.counts[t] < self.cap[t]) {
+                reachable = true;
                 break;
             }
-            self.r[x] += 1;
-            self.weights[cur.index()] -= 1;
-            self.weights[ein.index()] += 1;
-            let own = self.graph.tile(tail).expect("interconnect units are tiled");
-            self.counts[own] -= 1;
-            let pred = self.graph.edge(ein).from;
-            let dst = self.graph.tile(pred);
-            if let Some(t) = dst {
-                self.counts[t] += 1;
-            }
-            log.push((x, 1));
-            if let Some(t) = dst {
-                if t != from_tile && self.counts[t] <= self.cap[t] {
-                    return true;
-                }
-            }
-            cur = ein;
+            cur = next;
         }
-        self.rollback(&log);
-        false
+        if !reachable {
+            return false;
+        }
+        let mut log = std::mem::take(&mut self.log);
+        log.clear();
+        let mut cur = e;
+        let mut landed = false;
+        while let Some((x, next, t)) = self.chain_step(cur, d) {
+            let legal = if d < 0 {
+                self.cons.can_decrement(&self.r, x)
+            } else {
+                self.cons.can_increment(&self.r, x)
+            };
+            if self.weights[cur.index()] < 1 || !legal {
+                break;
+            }
+            self.step(x, d);
+            log.push((x, d));
+            if t.is_some_and(|t| t != from_tile && self.counts[t] <= self.cap[t]) {
+                landed = true;
+                break;
+            }
+            cur = next;
+        }
+        if !landed {
+            self.rollback(&log);
+        }
+        self.log = log;
+        landed
+    }
+
+    /// Retimes chain-interior interconnect vertex `x` by `d = ±1`: `d = +1`
+    /// moves one flip-flop from its out-edge to its in-edge, `d = −1` the
+    /// other way.
+    fn step(&mut self, x: usize, d: i64) {
+        let (ein, eout) = (self.only_in[x], self.only_out[x]);
+        let (ein, eout) = ein
+            .zip(eout)
+            .expect("slides retime chain-interior vertices only");
+        self.r[x] += d;
+        self.touched_r.push(x);
+        self.shift_edge(eout, -d);
+        self.shift_edge(ein, d);
     }
 
     /// Reverts a partial slide (most recent step first).
     fn rollback(&mut self, log: &[SlideStep]) {
         for &(x, d) in log.iter().rev() {
-            let (ein, eout) = (self.only_in[x].unwrap(), self.only_out[x].unwrap());
-            self.r[x] -= d;
-            // d = +1 slid a flop out→in; undo restores it.
-            self.weights[eout.index()] += d;
-            self.weights[ein.index()] -= d;
-            if let Some(t) = self.graph.tile(self.graph.edge(eout).from) {
-                self.counts[t] += d;
-            }
-            if let Some(t) = self.graph.tile(self.graph.edge(ein).from) {
-                self.counts[t] -= d;
-            }
+            self.step(x, -d);
         }
     }
 }
@@ -695,11 +852,11 @@ pub fn lac_retiming(
     }
     let mut solver = MinAreaSolver::new(graph, period_constraints)?;
     // The full constraint system (edge legality + clock period), indexed
-    // per vertex so the chain-slide legaliser can validate single-vertex
-    // moves in O(deg).
+    // per vertex so the legaliser can validate single-vertex moves in
+    // O(deg).
     let mut all_cons = edge_constraints(graph);
     all_cons.extend(period_constraints.constraints.iter().copied());
-    let cons_index = ConstraintIndex::new(graph.num_vertices(), &all_cons);
+    let mut legalizer = Legalizer::new(graph, &all_cons, caps_ff);
     let mut tile_weight = vec![1.0f64; num_tiles];
     let mut best: Option<LacResult> = None;
     let mut history = Vec::new();
@@ -765,7 +922,7 @@ pub fn lac_retiming(
         // Flip-flop placement repair: the weighted solve lands on an
         // extreme point; slide residual excess flops along their
         // connection chains into tiles with spare capacity.
-        legalize_flop_placement(graph, &cons_index, caps_ff, &mut outcome);
+        legalizer.legalize(&mut outcome);
         let occupancy = TileOccupancy::compute(graph, &outcome.weights, caps_ff);
         let n_foa = occupancy.total_violations();
         history.push(n_foa);

@@ -101,4 +101,15 @@ fn s344_pipeline_emits_stage_spans_in_order() {
     // nested retime spans must not exceed their parents.
     let lac = report.span("plan.lac").unwrap();
     assert!(lac.excl_ns <= lac.incl_ns);
+    // The flip-flop legaliser runs once per LAC round, under its own span,
+    // and reports its move statistics once per call.
+    let legalize = report.span("lac.legalize").expect("legaliser span");
+    assert_eq!(Some(legalize.count as i64), report.counter("lac.rounds"));
+    for counter in ["lac.cluster_tried", "lac.slide_attempts"] {
+        assert!(
+            report.counter(counter).is_some(),
+            "counter {counter} missing"
+        );
+    }
+    assert!(report.gauge("lac.excess_after").is_some());
 }

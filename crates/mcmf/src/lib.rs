@@ -9,12 +9,17 @@
 //! subject to r_u − r_v ≤ b_uv          for every constraint (u, v, b)
 //! ```
 //!
-//! is the LP dual of a transshipment (min-cost flow) problem, which
-//! [`MinCostFlow`] solves with successive shortest paths and Johnson
-//! potentials. [`solve_dual_program`] wraps the whole reduction and returns
-//! optimal integer `r` values. [`DifferenceConstraints`] solves pure
-//! feasibility (no objective) with Bellman–Ford, as used by min-period
-//! retiming.
+//! is the LP dual of a transshipment (min-cost flow) problem.
+//! [`DualSolver`] is the engine the retimers use: a primal–dual
+//! min-cost-flow solver on a compressed sparse row (CSR) residual network
+//! that keeps its flow and potentials between solves, so a family of
+//! programs sharing one constraint set (the rounds of LAC-retiming) is
+//! re-solved warm, and that certifies each solution by complementary
+//! slackness in debug builds. [`solve_dual_program`] is the stateless
+//! reference reduction, built on [`MinCostFlow`] (successive shortest
+//! paths with Johnson potentials), against which tests and benchmarks
+//! check it. [`DifferenceConstraints`] solves pure feasibility (no
+//! objective) with Bellman–Ford, as used by min-period retiming.
 //!
 //! All quantities are integers (`i64`); callers quantise real-valued data.
 

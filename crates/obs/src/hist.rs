@@ -111,7 +111,8 @@ impl Histogram {
     }
 
     /// An upper bound on the `q`-quantile (`0.0 ≤ q ≤ 1.0`): the upper
-    /// edge of the bucket containing the `ceil(q·count)`-th sample.
+    /// edge of the bucket containing the `ceil(q·count)`-th sample,
+    /// clamped to the largest sample (no quantile exceeds the maximum).
     /// Returns 0 when the histogram is empty.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -122,10 +123,10 @@ impl Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Self::bucket_range(i).1;
+                return Self::bucket_range(i).1.min(self.max);
             }
         }
-        u64::MAX
+        self.max
     }
 
     /// Upper bound on the median (see [`Histogram::quantile_upper_bound`]).
@@ -215,7 +216,7 @@ mod tests {
         let med = h.quantile_upper_bound(0.5);
         assert!(med >= 500, "median bound {med}");
         assert!(med <= 1024, "median bound {med}");
-        assert_eq!(h.quantile_upper_bound(1.0), 1024);
+        assert_eq!(h.quantile_upper_bound(1.0), 1000);
         assert_eq!(Histogram::new().quantile_upper_bound(0.5), 0);
     }
 
@@ -230,14 +231,36 @@ mod tests {
         // p95 of 1..=1000 is 950 → bucket [512,1024); p99 is 990 → same.
         assert!(h.p95() >= 950 && h.p95() <= 1024, "p95 {}", h.p95());
         assert!(h.p99() >= 990 && h.p99() <= 1024, "p99 {}", h.p99());
-        // A single sample: all percentiles share its bucket bound.
+        // A single sample: every percentile is that sample.
         let mut one = Histogram::new();
         one.record(7);
-        assert_eq!(one.p50(), 8);
-        assert_eq!(one.p99(), 8);
+        assert_eq!(one.p50(), 7);
+        assert_eq!(one.p99(), 7);
         // Empty histograms report 0 everywhere.
         let empty = Histogram::new();
         assert_eq!((empty.p50(), empty.p95(), empty.p99()), (0, 0, 0));
+    }
+
+    #[test]
+    fn percentiles_never_exceed_the_maximum() {
+        // 116 sits in bucket [64, 128): the bucket edge alone would
+        // report p95 = 128 above the largest sample.
+        let mut h = Histogram::new();
+        for v in [113_u64, 114, 114, 115, 116] {
+            h.record(v);
+        }
+        assert_eq!((h.p50(), h.p95(), h.p99()), (116, 116, 116));
+        let mut spread = Histogram::new();
+        for v in (0..500_u64).map(|i| i * i % 997) {
+            spread.record(v);
+        }
+        let (p50, p95, p99) = (spread.p50(), spread.p95(), spread.p99());
+        assert!(
+            p50 <= p95 && p95 <= p99 && p99 <= spread.max(),
+            "p50 {p50} p95 {p95} p99 {p99} max {}",
+            spread.max()
+        );
+        assert!(p50 >= 256, "still an upper bound on the median: {p50}");
     }
 
     #[test]

@@ -401,9 +401,11 @@ mod tests {
         let r = Report::build(&BTreeMap::new(), &BTreeMap::new(), &BTreeMap::new(), &hists);
         let t = r.histogram_table();
         assert!(t.contains("lac.round_n_foa"), "{t}");
-        // count 4, p50 in [2,4) bucket → bound 4, p99 covers 100 → 128.
+        // count 4, p50 in [2,4) bucket → bound 4; p99 covers 100, whose
+        // bucket edge 128 is clamped to the maximum.
         assert!(t.contains("4"), "{t}");
-        assert!(t.contains("128"), "{t}");
+        assert!(t.contains("100"), "{t}");
+        assert!(!t.contains("128"), "{t}");
         // No histograms → the span table stays bare.
         let bare = Report::default();
         assert!(!bare.self_time_table().contains("histogram"));

@@ -7,7 +7,9 @@
 //! flip-flops will be charged to — so the objective becomes
 //! `N'(G_r) = Σ_e A(tail(e)) · w_r(e)`, with vertex coefficients
 //! `fi(v) − fo(v)` exactly as the paper derives. Both reduce to the same
-//! LP dual, solved by [`lacr_mcmf::solve_dual_program`].
+//! LP dual, solved by the primal–dual min-cost-flow engine
+//! [`lacr_mcmf::DualSolver`] on a CSR residual network; a
+//! [`MinAreaSolver`] keeps one warm across the rounds of LAC-retiming.
 
 use crate::constraints::{edge_constraints, generate_period_constraints, PeriodConstraints};
 use crate::graph::RetimeGraph;
