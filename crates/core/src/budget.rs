@@ -160,6 +160,10 @@ impl Budget {
 mod tests {
     use super::*;
 
+    // Tests that trip an expiry hold `lacr_obs::test_gate`: the trip dumps
+    // to the process-wide armed flight path, which
+    // `labeled_budget_expiry_dumps_to_the_tagged_path` arms and checks.
+
     #[test]
     fn unlimited_never_expires() {
         let b = Budget::unlimited();
@@ -171,6 +175,7 @@ mod tests {
 
     #[test]
     fn zero_timeout_expires_immediately() {
+        let _gate = lacr_obs::test_gate();
         assert!(Budget::with_timeout(Duration::ZERO).expired());
     }
 
@@ -181,6 +186,7 @@ mod tests {
 
     #[test]
     fn expiry_is_sticky_and_shared_between_clones() {
+        let _gate = lacr_obs::test_gate();
         // A deadline in the past: the first poll latches.
         let b = Budget::new(Some(Instant::now() - Duration::from_secs(1)), None);
         let clone = b.clone();
@@ -202,6 +208,7 @@ mod tests {
 
     #[test]
     fn equality_ignores_latch_state() {
+        let _gate = lacr_obs::test_gate();
         let past = Instant::now() - Duration::from_secs(1);
         let a = Budget::new(Some(past), Some(3));
         let b = Budget::new(Some(past), Some(3));
@@ -211,6 +218,7 @@ mod tests {
 
     #[test]
     fn sequential_budgets_do_not_inherit_expiry() {
+        let _gate = lacr_obs::test_gate();
         // The latch lives in per-instance Arc state: two requests built
         // back to back (as the serve loop does) must each start fresh,
         // even after the first one has tripped.
@@ -237,6 +245,7 @@ mod tests {
 
     #[test]
     fn labeled_budget_expiry_dumps_to_the_tagged_path() {
+        let _gate = lacr_obs::test_gate();
         let dir = std::env::temp_dir().join(format!(
             "lacr_budget_tagged_{}_{:?}",
             std::process::id(),

@@ -40,9 +40,14 @@ struct Arc {
 /// per-solve arc to the super source or sink. The super source's and
 /// sink's slices hold their per-solve arcs in variable order. Only the
 /// slice ends move between solves. Each solve routes the imbalance delta
-/// with Dijkstra phases over reduced costs, each followed by a
-/// blocking-flow sweep of the zero-reduced-cost subgraph, and (in debug
-/// builds) certifies its own optimality by complementary slackness.
+/// with blocking-flow sweeps of the zero-reduced-cost subgraph and
+/// Dijkstra searches over reduced costs, and (in debug builds) certifies
+/// its own optimality by complementary slackness. The Dijkstra before a
+/// sweep is skipped while the last one found `d_t = 0`, until a sweep
+/// finds no path. Both steps this changes are no-ops: a Dijkstra with
+/// `d_t = 0` moves no potential, and a sweep that finds no path moves no
+/// flow. So the returned dual is the one a Dijkstra before every sweep
+/// gives.
 ///
 /// # Examples
 ///
@@ -78,10 +83,12 @@ pub struct DualSolver {
     /// Scratch of [`DualSolver::route`], kept between solves.
     dist: Vec<i64>,
     cursor: Vec<u32>,
-    on_path: Vec<bool>,
-    path: Vec<u32>,
+    mark: Vec<Mark>,
+    /// The DFS path as `(arc position, tail)` pairs.
+    path: Vec<(u32, u32)>,
     heap: BinaryHeap<Reverse<(i64, u32)>>,
     level: Vec<u32>,
+    adm: Admissible,
 }
 
 const INF_CAP: i64 = i64::MAX / 4;
@@ -179,10 +186,11 @@ impl DualSolver {
             routed: vec![0; num_vars],
             dist: vec![0; nn],
             cursor: vec![0; nn],
-            on_path: vec![false; nn],
+            mark: vec![Mark::Free; nn],
             path: Vec::new(),
             heap: BinaryHeap::new(),
             level: Vec::new(),
+            adm: Admissible::new(total, nn),
         })
     }
 
@@ -326,13 +334,35 @@ impl DualSolver {
 
     /// Primal–dual min-cost routing of `remaining` units from `s` to `t`.
     ///
-    /// Each *phase* runs one Dijkstra over reduced costs, makes the dual
-    /// update, and then augments along as many zero-reduced-cost paths as
-    /// a cursor-based DFS can find before the admissible subgraph dries
-    /// up. On the dense W/D constraint networks of LAC retiming this
-    /// replaces one full Dijkstra *per augmenting path* with one per
-    /// phase — the number of phases is bounded by the number of distinct
-    /// shortest-path costs, typically orders of magnitude smaller.
+    /// The loop mixes two steps. A *Dijkstra* over reduced costs makes
+    /// the dual update `π += min(d, d_t)`. A *sweep* is a cursor-based
+    /// blocking-flow DFS from fresh cursors that augments along as many
+    /// zero-reduced-cost paths as it finds before the admissible subgraph
+    /// dries up. On the dense W/D constraint networks of LAC retiming this
+    /// replaces one full Dijkstra *per augmenting path* with about one per
+    /// potential move — bounded by the number of distinct shortest-path
+    /// costs, typically orders of magnitude smaller.
+    ///
+    /// A Dijkstra with `d_t = 0` moves no potential (`min(d, 0) = 0`), and
+    /// a sweep that finds no path moves no flow. Both are no-ops, so any
+    /// schedule that runs a Dijkstra whenever a sweep fails makes the same
+    /// augmentations at the same potentials as a Dijkstra before every
+    /// sweep, and returns the same dual. The schedule keeps one bit: set
+    /// on entry, cleared by a sweep that finds no path, set again by a
+    /// Dijkstra with `d_t = 0`. While it is set the loop sweeps without
+    /// searching first. Warm re-solves mostly find more paths at unchanged
+    /// potentials, so they skip nearly every Dijkstra; cold solves, where
+    /// most potential moves allow a single sweep, seldom pay for a failed
+    /// one.
+    ///
+    /// Between potential moves — an *epoch* — each node's
+    /// zero-reduced-cost arcs are fixed. The sweep walks them from a
+    /// per-node list in `adm`, filled in CSR order only as far as the
+    /// cursor needs, so a raw arc's reduced cost is tested at most once
+    /// per epoch, and the DFS itself checks only the head's [`Mark`] and
+    /// the capacity: the same accept/reject decisions, in the same order,
+    /// as a scan of the raw slice. Lists are invalidated by bumping
+    /// `epoch`, never cleared.
     fn route(&mut self, s: usize, t: usize, mut remaining: i64) -> Result<(), DualError> {
         let Self {
             arcs,
@@ -341,102 +371,120 @@ impl DualSolver {
             pi,
             dist,
             cursor,
-            on_path,
+            mark,
             path,
             heap,
             level,
+            adm,
             ..
         } = self;
         // Statistics, accumulated locally (the loop is hot) and flushed
         // as counters on both exits.
-        let mut augmentations = 0_u64;
-        let mut phases = 0_u64;
-        let mut pot_updates = 0_u64;
-        let flush = |augmentations: u64, phases: u64, pot_updates: u64| {
-            lacr_obs::counter!("mcmf.ssp_iterations", augmentations);
-            lacr_obs::counter!("mcmf.dijkstra_phases", phases);
-            lacr_obs::counter!("mcmf.potential_updates", pot_updates);
-        };
+        let mut stats = RouteStats::default();
+        // The s/t arcs changed since the last call, and so did the
+        // potentials if it failed and restored the pristine network.
+        adm.invalidate();
+        let mut speculate = true;
         while remaining > 0 {
-            phases += 1;
-            dist.iter_mut().for_each(|d| *d = i64::MAX);
-            dist[s] = 0;
-            heap.clear();
-            heap.push(Reverse((0i64, pos(s))));
-            let mut dist_t = i64::MAX;
-            // Nodes reached over a zero-reduced-cost arc share the current
-            // minimum distance: they are settled from the `level` stack
-            // before the heap is consulted again. Extraction stays in
-            // distance order, and the potential update below depends only
-            // on the distances, not on the order of equal ones.
-            level.clear();
-            loop {
-                let (d, u) = match level.pop() {
-                    Some(u) => (dist[u as usize], u as usize),
-                    None => match heap.pop() {
-                        Some(Reverse((d, u))) => (d, u as usize),
-                        None => break,
-                    },
-                };
-                if d > dist[u] {
-                    continue;
-                }
-                if u == t {
-                    dist_t = d;
-                    break;
-                }
-                let pi_u = pi[u];
-                for a in &arcs[start[u] as usize..end[u] as usize] {
-                    if a.cap <= 0 {
+            if !speculate {
+                stats.phases += 1;
+                dist.iter_mut().for_each(|d| *d = i64::MAX);
+                dist[s] = 0;
+                heap.clear();
+                heap.push(Reverse((0i64, pos(s))));
+                let mut dist_t = i64::MAX;
+                // Nodes reached over a zero-reduced-cost arc share the
+                // current minimum distance: they are settled from the
+                // `level` stack before the heap is consulted again.
+                // Extraction stays in distance order, and the potential
+                // update below depends only on the distances, not on the
+                // order of equal ones.
+                level.clear();
+                loop {
+                    let (d, u) = match level.pop() {
+                        Some(u) => (dist[u as usize], u as usize),
+                        None => match heap.pop() {
+                            Some(Reverse((d, u))) => (d, u as usize),
+                            None => break,
+                        },
+                    };
+                    if d > dist[u] {
                         continue;
                     }
-                    let to = a.to as usize;
-                    let rc = a.cost + pi_u - pi[to];
-                    debug_assert!(rc >= 0, "negative reduced cost {rc}");
-                    let nd = d + rc;
-                    if nd < dist[to] {
-                        dist[to] = nd;
-                        if rc == 0 {
-                            level.push(a.to);
-                        } else {
-                            heap.push(Reverse((nd, a.to)));
+                    if u == t {
+                        dist_t = d;
+                        break;
+                    }
+                    let pi_u = pi[u];
+                    for a in &arcs[start[u] as usize..end[u] as usize] {
+                        if a.cap <= 0 {
+                            continue;
+                        }
+                        let to = a.to as usize;
+                        let rc = a.cost + pi_u - pi[to];
+                        debug_assert!(rc >= 0, "negative reduced cost {rc}");
+                        let nd = d + rc;
+                        if nd < dist[to] {
+                            dist[to] = nd;
+                            if rc == 0 {
+                                level.push(a.to);
+                            } else {
+                                heap.push(Reverse((nd, a.to)));
+                            }
                         }
                     }
                 }
-            }
-            if dist_t == i64::MAX {
-                flush(augmentations, phases, pot_updates);
-                return Err(DualError::Unbounded);
-            }
-            for (p, &d) in pi.iter_mut().zip(dist.iter()) {
-                let delta = d.min(dist_t);
-                if delta != 0 {
-                    pot_updates += 1;
+                match dist_t {
+                    i64::MAX => {
+                        stats.flush();
+                        return Err(DualError::Unbounded);
+                    }
+                    0 => {
+                        stats.idle_dijkstras += 1;
+                        speculate = true;
+                    }
+                    _ => {
+                        for (p, &d) in pi.iter_mut().zip(dist.iter()) {
+                            let delta = d.min(dist_t);
+                            if delta != 0 {
+                                stats.pot_updates += 1;
+                            }
+                            *p += delta;
+                        }
+                        adm.invalidate();
+                    }
                 }
-                *p += delta;
             }
             // Blocking-flow sweep over the admissible subgraph (arcs with
-            // capacity and zero reduced cost under the updated
-            // potentials). Cursors never rewind, so each arc is inspected
-            // O(1) times per phase; any admissible path the sweep misses
-            // because a node was transiently on the path is picked up by
-            // the next phase's fresh cursors at unchanged potentials.
+            // capacity and zero reduced cost under the current
+            // potentials). Cursors index `adm` and never rewind, so each
+            // list entry is inspected O(1) times per sweep; any
+            // admissible path the sweep misses because a node was
+            // transiently on the path is picked up by a later sweep's
+            // fresh cursors at unchanged potentials. A node whose cursor
+            // ran out stays out for the rest of the sweep: it is marked
+            // dead and rejected like a node on the path, which is what
+            // entering it and retreating at once would amount to.
+            stats.sweeps += 1;
+            let before = remaining;
             let nn = cursor.len();
             cursor.copy_from_slice(&start[..nn]);
+            mark.fill(Mark::Free);
             path.clear();
-            on_path[s] = true;
+            mark[s] = Mark::OnPath;
+            adm.enter(s, start[s]);
             let mut v = s;
             while remaining > 0 {
                 if v == t {
                     let mut bottleneck = remaining;
-                    for &ai in path.iter() {
+                    for &(ai, _) in path.iter() {
                         bottleneck = bottleneck.min(arcs[ai as usize].cap);
                     }
                     // Resume at the tail of the first arc the augmentation
                     // saturates: restarting from `s`, the unchanged
                     // cursors would walk the same prefix back to it.
                     let mut keep = path.len();
-                    for (k, &ai) in path.iter().enumerate() {
+                    for (k, &(ai, _)) in path.iter().enumerate() {
                         let a = &mut arcs[ai as usize];
                         a.cap -= bottleneck;
                         if a.cap == 0 && keep == path.len() {
@@ -445,50 +493,166 @@ impl DualSolver {
                         let (rev, to) = (a.rev as usize, a.to as usize);
                         arcs[rev].cap += bottleneck;
                         if keep <= k {
-                            on_path[to] = false;
+                            mark[to] = Mark::Free;
                         }
                     }
                     remaining -= bottleneck;
-                    augmentations += 1;
-                    if let Some(&ai) = path.get(keep) {
-                        v = arcs[arcs[ai as usize].rev as usize].to as usize;
+                    stats.augmentations += 1;
+                    if let Some(&(_, tail)) = path.get(keep) {
+                        v = tail as usize;
                     }
                     path.truncate(keep);
                     continue;
                 }
-                let mut advanced = false;
-                let pi_v = pi[v];
-                while cursor[v] < end[v] {
-                    let ai = cursor[v];
-                    let a = &arcs[ai as usize];
-                    let to = a.to as usize;
-                    if a.cap > 0 && !on_path[to] && a.cost + pi_v - pi[to] == 0 {
-                        path.push(ai);
-                        on_path[to] = true;
-                        v = to;
-                        advanced = true;
-                        break;
-                    }
-                    cursor[v] += 1;
-                }
-                if advanced {
+                if let Some((ai, to)) = adm.next(v, &mut cursor[v], arcs, end[v], pi, mark) {
+                    let to = to as usize;
+                    path.push((ai, pos(v)));
+                    mark[to] = Mark::OnPath;
+                    adm.enter(to, start[to]);
+                    v = to;
                     continue;
                 }
                 // Dead end: retreat one step, skipping the arc that led
-                // here. At the source the phase is exhausted.
+                // here. At the source the sweep is exhausted.
                 match path.pop() {
-                    Some(ai) => {
-                        on_path[v] = false;
-                        v = arcs[arcs[ai as usize].rev as usize].to as usize;
+                    Some((_, tail)) => {
+                        mark[v] = Mark::Dead;
+                        v = tail as usize;
                         cursor[v] += 1;
                     }
                     None => break,
                 }
             }
-            on_path.iter_mut().for_each(|b| *b = false);
+            if remaining == before {
+                stats.failed_sweeps += 1;
+                speculate = false;
+            }
         }
-        flush(augmentations, phases, pot_updates);
+        stats.flush();
         Ok(())
+    }
+}
+
+/// A node's state during one blocking-flow sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    Free,
+    OnPath,
+    /// Its cursor ran out: no arc can take the sweep through it.
+    Dead,
+}
+
+/// Per-epoch admissible-arc lists of [`DualSolver::route`]: node `v`'s
+/// zero-reduced-cost arcs as `(position, to)` pairs at
+/// `list[start[v]..len[v]]`, parallel to its raw arcs, of which
+/// `start[v]..fill[v]` have been filtered. A list is valid while
+/// `stamp[v] == epoch`, and `epoch` moves whenever the potentials may
+/// have.
+#[derive(Debug, Clone)]
+struct Admissible {
+    list: Vec<(u32, u32)>,
+    len: Vec<u32>,
+    fill: Vec<u32>,
+    stamp: Vec<u64>,
+    epoch: u64,
+}
+
+impl Admissible {
+    fn new(arcs: usize, nodes: usize) -> Self {
+        Self {
+            list: vec![(0, 0); arcs],
+            len: vec![0; nodes],
+            fill: vec![0; nodes],
+            stamp: vec![0; nodes],
+            epoch: 0,
+        }
+    }
+
+    /// Drops every list: the potentials may have moved.
+    fn invalidate(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Starts `v`'s list (its slice begins at `start`) afresh the first
+    /// time a sweep reaches `v` in the current epoch.
+    #[inline]
+    fn enter(&mut self, v: usize, start: u32) {
+        if self.stamp[v] != self.epoch {
+            self.stamp[v] = self.epoch;
+            self.len[v] = start;
+            self.fill[v] = start;
+        }
+    }
+
+    /// Advances `v`'s cursor to the first list entry the sweep can take
+    /// (a free head and spare capacity) and returns it, extending the
+    /// list from `v`'s raw arcs up to `end` as far as needed; `None`, with
+    /// the cursor at the list's end, when no entry is left.
+    #[inline]
+    fn next(
+        &mut self,
+        v: usize,
+        cursor: &mut u32,
+        arcs: &[Arc],
+        end: u32,
+        pi: &[i64],
+        mark: &[Mark],
+    ) -> Option<(u32, u32)> {
+        let takes =
+            |(ai, to): (u32, u32)| mark[to as usize] == Mark::Free && arcs[ai as usize].cap > 0;
+        let mut c = *cursor;
+        let mut len = self.len[v];
+        while c < len {
+            let entry = self.list[c as usize];
+            if takes(entry) {
+                *cursor = c;
+                return Some(entry);
+            }
+            c += 1;
+        }
+        let pi_v = pi[v];
+        let mut f = self.fill[v];
+        let mut found = None;
+        while f < end {
+            let a = &arcs[f as usize];
+            if a.cost + pi_v - pi[a.to as usize] == 0 {
+                let entry = (f, a.to);
+                self.list[len as usize] = entry;
+                len += 1;
+                if takes(entry) {
+                    found = Some(entry);
+                    f += 1;
+                    break;
+                }
+            }
+            f += 1;
+        }
+        self.len[v] = len;
+        self.fill[v] = f;
+        *cursor = if found.is_some() { len - 1 } else { len };
+        found
+    }
+}
+
+/// Work done by one [`DualSolver::route`] call.
+#[derive(Default)]
+struct RouteStats {
+    augmentations: u64,
+    phases: u64,
+    idle_dijkstras: u64,
+    pot_updates: u64,
+    sweeps: u64,
+    failed_sweeps: u64,
+}
+
+impl RouteStats {
+    fn flush(&self) {
+        lacr_obs::counter!("mcmf.ssp_iterations", self.augmentations);
+        lacr_obs::counter!("mcmf.dijkstra_phases", self.phases);
+        lacr_obs::counter!("mcmf.idle_dijkstras", self.idle_dijkstras);
+        lacr_obs::counter!("mcmf.potential_updates", self.pot_updates);
+        lacr_obs::counter!("mcmf.sweeps", self.sweeps);
+        lacr_obs::counter!("mcmf.failed_sweeps", self.failed_sweeps);
     }
 }
 
@@ -587,6 +751,98 @@ mod tests {
             }
         }
         assert_eq!(h, 0xb6eb_13fd_5865_9e6a);
+    }
+
+    /// A `w`×`h` grid with a random bound in each direction of every
+    /// edge: shortest paths over it have many distinct lengths.
+    fn grid(rng: &mut Rng, w: usize, h: usize) -> Vec<Constraint> {
+        let mut cons = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let v = y * w + x;
+                for (dx, dy) in [(1, 0), (0, 1)] {
+                    if x + dx < w && y + dy < h {
+                        let u = (y + dy) * w + x + dx;
+                        cons.push(Constraint::new(v, u, rng.gen_range(0..40)));
+                        cons.push(Constraint::new(u, v, rng.gen_range(0..40)));
+                    }
+                }
+            }
+        }
+        cons
+    }
+
+    /// Pins the exact duals of one cold solve on a grid, where routing
+    /// takes many potential moves and sweeps that miss paths leave work
+    /// for a later sweep at the same potentials. The constant was
+    /// recorded with one Dijkstra before every sweep; the counters show
+    /// that the sweep-first schedule both fails a speculative sweep and
+    /// resumes speculating after a Dijkstra with `d_t = 0`.
+    #[test]
+    fn cold_grid_duals_are_pinned() {
+        let mut rng = Rng::seed_from_u64(13);
+        let (w, h) = (24, 24);
+        let cons = grid(&mut rng, w, h);
+        let n = w * h;
+        let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-30..=30)).collect();
+        let sum: i64 = cost.iter().sum();
+        cost[0] -= sum;
+        let mut solver = DualSolver::new(n, &cons).unwrap();
+        let scope = lacr_obs::scope::Scope::new("cold-grid");
+        let (r, obj) = {
+            let _g = scope.attach();
+            solver.solve(&cost).unwrap()
+        };
+        solver.certify(&r).unwrap();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for x in r.iter().chain(std::iter::once(&obj)) {
+            for b in x.to_le_bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0x58fa_f10c_f5c4_cba1);
+        let report = scope.report();
+        let count = |name| report.counter(name).unwrap_or(0);
+        assert!(count("mcmf.failed_sweeps") > 0);
+        assert!(count("mcmf.idle_dijkstras") > 0);
+        assert!(count("mcmf.dijkstra_phases") > count("mcmf.idle_dijkstras"));
+    }
+
+    /// A solve that routes part of its flow before finding the rest
+    /// unroutable restores the pristine network; the next solve must
+    /// match a fresh solver's, whatever lists the failed one built.
+    #[test]
+    fn solve_after_a_partial_unbounded_one_matches_a_fresh_solver() {
+        let mut rng = Rng::seed_from_u64(14);
+        let (w, h) = (12, 12);
+        let mut cons = grid(&mut rng, w, h);
+        // A dead-end variable: reachable from the grid, but with no
+        // constraint leaving it, so supply placed on it cannot route.
+        let dead = w * h;
+        cons.push(Constraint::new(0, dead, 5));
+        let n = dead + 1;
+        let balanced = |rng: &mut Rng| {
+            let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-30..=30)).collect();
+            cost[dead] = 0;
+            let sum: i64 = cost.iter().sum();
+            cost[0] -= sum;
+            cost
+        };
+        let mut solver = DualSolver::new(n, &cons).unwrap();
+        solver.solve(&balanced(&mut rng)).unwrap();
+        let mut stuck = balanced(&mut rng);
+        stuck[dead] = -7;
+        stuck[1] += 7;
+        let scope = lacr_obs::scope::Scope::new("partial");
+        {
+            let _g = scope.attach();
+            assert_eq!(solver.solve(&stuck), Err(DualError::Unbounded));
+        }
+        let routed = scope.report().counter("mcmf.ssp_iterations").unwrap_or(0);
+        assert!(routed > 0, "the failed solve routed no flow first");
+        let next = balanced(&mut rng);
+        let fresh = DualSolver::new(n, &cons).unwrap().solve(&next);
+        assert_eq!(solver.solve(&next), fresh);
     }
 
     #[test]

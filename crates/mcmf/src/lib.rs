@@ -15,11 +15,18 @@
 //! that keeps its flow and potentials between solves, so a family of
 //! programs sharing one constraint set (the rounds of LAC-retiming) is
 //! re-solved warm, and that certifies each solution by complementary
-//! slackness in debug builds. [`solve_dual_program`] is the stateless
-//! reference reduction, built on [`MinCostFlow`] (successive shortest
-//! paths with Johnson potentials), against which tests and benchmarks
-//! check it. [`DifferenceConstraints`] solves pure feasibility (no
-//! objective) with Bellman–Ford, as used by min-period retiming.
+//! slackness in debug builds. Its routing loop skips the Dijkstra before
+//! a blocking-flow sweep while the last one found `d_t = 0`, until a
+//! sweep finds no path, and walks per-node lists of zero-reduced-cost
+//! arcs kept while the potentials stand still. The schedule cannot change
+//! the returned dual: a Dijkstra with `d_t = 0` moves no potential and a
+//! sweep that finds no path moves no flow, so adding or skipping either
+//! makes the same augmentations at the same potentials.
+//! [`solve_dual_program`] is the stateless reference reduction, built on
+//! [`MinCostFlow`] (successive shortest paths with Johnson potentials),
+//! against which tests and benchmarks check it. [`DifferenceConstraints`]
+//! solves pure feasibility (no objective) with Bellman–Ford, as used by
+//! min-period retiming.
 //!
 //! All quantities are integers (`i64`); callers quantise real-valued data.
 

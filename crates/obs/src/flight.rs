@@ -157,11 +157,13 @@ pub fn push(record: &Record) {
     if !is_enabled() {
         return;
     }
-    let ts = ts_us();
     let mut r = lock();
     if r.cap == 0 {
         return;
     }
+    // Read the clock under the lock: concurrent writers then append in
+    // time order.
+    let ts = ts_us();
     while r.buf.len() >= r.cap {
         r.buf.pop_front();
     }
@@ -362,11 +364,7 @@ pub fn install_panic_hook() {
 mod tests {
     use super::*;
 
-    /// Serializes tests that reconfigure the global ring.
-    fn gate() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_gate as gate;
 
     fn marker(i: u64) -> Record {
         Record::Hist {

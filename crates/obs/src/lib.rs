@@ -675,13 +675,23 @@ macro_rules! diag {
 // Test support
 // ---------------------------------------------------------------------
 
+/// Serialises tests that use process-wide observability state: the
+/// global collector, the flight ring and its armed dump path. A test
+/// that installs a collector, emits metrics a concurrently captured
+/// report would count, reconfigures the ring, or trips a dump holds
+/// this guard for its whole body; [`run_captured`] takes it itself, so
+/// a test must not call it while holding the guard.
+pub fn test_gate() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Runs `f` with a [`CaptureSink`] installed and returns `f`'s result,
-/// the captured records, and the final report. Captures are serialized
-/// by an internal mutex so parallel tests do not interleave their
-/// global collectors.
+/// the captured records, and the final report. Holds [`test_gate`]
+/// throughout, so parallel tests do not interleave their global
+/// collectors.
 pub fn run_captured<T>(f: impl FnOnce() -> T) -> (T, Vec<(u64, Record)>, Report) {
-    static CAPTURE_GATE: Mutex<()> = Mutex::new(());
-    let _gate = CAPTURE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _gate = test_gate();
     let (sink, store) = CaptureSink::new();
     init(Box::new(sink));
     let out = f();

@@ -91,9 +91,9 @@ if [[ "$REGRESS" == 1 ]]; then
     echo "==> cargo build --release (warnings are errors)"
     RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
 
-    echo "==> regenerate run artifacts for the fast subset (s344 s382 s526 s953 s1269)"
+    echo "==> regenerate run artifacts for the fast subset (s344 s382 s526 s838 s953 s1269 s1423)"
     mkdir -p target/regress
-    LACR_RECORD_DIR=target/regress target/release/table1 --quiet s344 s382 s526 s953 s1269 \
+    LACR_RECORD_DIR=target/regress target/release/table1 --quiet s344 s382 s526 s838 s953 s1269 s1423 \
         >target/regress/table1.txt
 
     echo "==> check_metrics: artifact contracts (provenance + quality blocks)"
