@@ -1,13 +1,12 @@
-//! Wall-clock benchmarks of the substrate kernels: min-cost flow,
-//! partitioning, sequence-pair packing + annealing, global routing and the
-//! repeater DP.
+//! Wall-clock benchmarks of the substrate kernels: a cold min-cost-flow
+//! dual solve, partitioning, sequence-pair packing + annealing, global
+//! routing and the repeater DP.
 
 use lacr_floorplan::anneal::{floorplan, FloorplanConfig};
 use lacr_floorplan::seqpair::SequencePair;
-use lacr_floorplan::slicing::floorplan_slicing;
 use lacr_floorplan::tiles::{CapacityLedger, TileGrid, TileGridConfig};
 use lacr_floorplan::{BlockSpec, Floorplan};
-use lacr_mcmf::{solve_dual_program, Constraint};
+use lacr_mcmf::{Constraint, DualSolver};
 use lacr_netlist::bench89;
 use lacr_partition::{partition, PartitionConfig};
 use lacr_prng::bench::Harness;
@@ -34,8 +33,11 @@ fn bench_flow(c: &mut Harness) {
     let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-8..=8)).collect();
     let s: i64 = cost.iter().sum();
     cost[0] -= s;
-    c.bench_function("mcmf_dual_program_400v", |b| {
-        b.iter(|| solve_dual_program(n, &cost, &cons).expect("bounded"))
+    c.bench_function("mcmf_dual_solver_cold_400v", |b| {
+        b.iter(|| {
+            let mut solver = DualSolver::new(n, &cons).expect("feasible");
+            solver.solve(&cost).expect("bounded")
+        })
     });
 }
 
@@ -67,18 +69,6 @@ fn bench_floorplan(c: &mut Harness) {
     g.bench_function("anneal_12_blocks_2k_moves", |b| {
         b.iter(|| {
             floorplan(
-                &blocks,
-                &[],
-                &FloorplanConfig {
-                    moves: 2_000,
-                    ..Default::default()
-                },
-            )
-        })
-    });
-    g.bench_function("slicing_12_blocks_2k_moves", |b| {
-        b.iter(|| {
-            floorplan_slicing(
                 &blocks,
                 &[],
                 &FloorplanConfig {

@@ -62,7 +62,7 @@
 //! Exits 0 on success (one confirmation line on stdout), 1 with the
 //! offending line number on stderr otherwise.
 
-use lacr_bench::json::{parse_json, Json};
+use lacr_obs::json::{parse_json, Json};
 use std::process::ExitCode;
 
 /// Quality metrics every `RUN_*.json` circuit entry must carry. A

@@ -32,7 +32,7 @@
 //! `schema_version`, or with one newer than this tool understands, are
 //! rejected outright.
 
-use crate::json::{parse_json, Json};
+use lacr_obs::json::{parse_json, Json};
 
 /// Lower-is-better quality metrics that must not increase at all.
 /// `min_area_flops` only appears in `BENCH_scale.json` artifacts;

@@ -31,7 +31,6 @@
 //! regenerate artifacts without clobbering committed baselines.
 
 pub mod compare;
-pub mod json;
 
 use lacr_core::experiment::TableRow;
 use lacr_core::planner::PlannerConfig;
@@ -315,6 +314,7 @@ pub fn quick_planner() -> PlannerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lacr_obs::json::{parse_json, Json};
 
     #[test]
     fn obs_flags_are_stripped_from_args() {
@@ -380,13 +380,13 @@ mod tests {
             n_foa_trajectory: vec![5, 3, 2],
         };
         let q = quality_json(&row, None);
-        let v = json::parse_json(&q).expect("quality block parses");
-        assert_eq!(v.get("lac_n_foa").and_then(json::Json::as_num), Some(2.0));
-        assert_eq!(v.get("n_wr").and_then(json::Json::as_num), Some(4.0));
+        let v = parse_json(&q).expect("quality block parses");
+        assert_eq!(v.get("lac_n_foa").and_then(Json::as_num), Some(2.0));
+        assert_eq!(v.get("n_wr").and_then(Json::as_num), Some(4.0));
         assert_eq!(
             v.get("n_foa_trajectory")
-                .and_then(json::Json::as_arr)
-                .map(<[json::Json]>::len),
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
             Some(3)
         );
     }

@@ -666,16 +666,40 @@ mod tests {
     use super::*;
     use lacr_prng::Rng;
 
+    /// Minimum of `Σ cost·x` over the integer points of the box
+    /// `lo[i] ..= hi[i]` that satisfy `cons`, or `None` when none does;
+    /// `x[0]` stays at `lo[0]`.
+    fn brute_force_min(cost: &[i64], cons: &[Constraint], lo: &[i64], hi: &[i64]) -> Option<i64> {
+        let mut x = lo.to_vec();
+        let mut best = None;
+        loop {
+            if cons.iter().all(|c| x[c.u] - x[c.v] <= c.bound) {
+                let v = cost.iter().zip(&x).map(|(&c, &y)| c * y).sum();
+                best = Some(best.map_or(v, |b: i64| b.min(v)));
+            }
+            // Step the odometer over `x[1..]`, lowest index fastest.
+            let Some(i) = (1..x.len()).find(|&i| x[i] < hi[i]) else {
+                return best;
+            };
+            x[i] += 1;
+            x[1..i].copy_from_slice(&lo[1..i]);
+        }
+    }
+
+    /// Each warm solve of a random ring-plus-chords program matches the
+    /// brute-force optimum and a cold solver's objective, and certifies.
     #[test]
-    fn matches_one_shot_solver_on_random_instances() {
+    fn warm_solves_match_brute_force_and_a_cold_solver() {
         let mut rng = Rng::seed_from_u64(5);
         for case in 0..50 {
             let n = rng.gen_range(2..6usize);
-            // A ring of constraints keeps everything bounded.
-            let mut cons = Vec::new();
-            for i in 0..n {
-                cons.push(Constraint::new(i, (i + 1) % n, rng.gen_range(0..4)));
-            }
+            // A ring of constraints keeps everything bounded: with
+            // `r_0 = 0`, `r_i` lies within the ring's path lengths to and
+            // from variable 0.
+            let ring: Vec<i64> = (0..n).map(|_| rng.gen_range(0..4)).collect();
+            let mut cons: Vec<Constraint> = (0..n)
+                .map(|i| Constraint::new(i, (i + 1) % n, ring[i]))
+                .collect();
             for _ in 0..rng.gen_range(0..4) {
                 cons.push(Constraint::new(
                     rng.gen_range(0..n),
@@ -683,31 +707,21 @@ mod tests {
                     rng.gen_range(0..5),
                 ));
             }
-            let mut solver = match DualSolver::new(n, &cons) {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            // Several cost vectors in sequence, comparing against the
-            // stateless reference each time.
+            let lo: Vec<i64> = (0..n).map(|i| -ring[..i].iter().sum::<i64>()).collect();
+            let hi: Vec<i64> = (0..n).map(|i| ring[i..].iter().sum()).collect();
+            let mut solver = DualSolver::new(n, &cons).expect("nonnegative bounds are feasible");
             for round in 0..4 {
                 let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-5..=5)).collect();
                 let sum: i64 = cost.iter().sum();
                 cost[0] -= sum;
-                let warm = solver.solve(&cost);
-                let reference = crate::solve_dual_program(n, &cost, &cons);
-                match (warm, reference) {
-                    (Ok((r, obj)), Ok((_, obj_ref))) => {
-                        assert_eq!(obj, obj_ref, "case {case} round {round}");
-                        for c in &cons {
-                            assert!(r[c.u] - r[c.v] <= c.bound);
-                        }
-                        solver
-                            .certify(&r)
-                            .unwrap_or_else(|e| panic!("case {case} round {round}: {e}"));
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, b),
-                    (a, b) => panic!("case {case} round {round}: {a:?} vs {b:?}"),
-                }
+                let (r, obj) = solver.solve(&cost).expect("a ring is bounded");
+                solver
+                    .certify(&r)
+                    .unwrap_or_else(|e| panic!("case {case} round {round}: {e}"));
+                let (_, cold) = DualSolver::new(n, &cons).unwrap().solve(&cost).unwrap();
+                assert_eq!(obj, cold, "case {case} round {round}");
+                let best = brute_force_min(&cost, &cons, &lo, &hi);
+                assert_eq!(Some(obj), best, "case {case} round {round}");
             }
         }
     }
@@ -889,13 +903,70 @@ mod tests {
         let (r, obj) = solver.solve(&[-1, 1]).unwrap();
         assert_eq!(obj, -2);
         assert_eq!(r[0] - r[1], 2);
+        // Costs that do not sum to zero: a uniform shift moves the
+        // objective while keeping every constraint.
+        assert_eq!(solver.solve(&[1, 0]), Err(DualError::Unbounded));
+    }
+
+    /// One cold solve, certified; the returned `r` satisfies `cons`.
+    fn solve_once(cost: &[i64], cons: &[Constraint]) -> Result<(Vec<i64>, i64), DualError> {
+        let mut solver = DualSolver::new(cost.len(), cons)?;
+        let (r, obj) = solver.solve(cost)?;
+        solver.certify(&r).unwrap();
+        for c in cons {
+            assert!(r[c.u] - r[c.v] <= c.bound, "violated {c:?} with r={r:?}");
+        }
+        Ok((r, obj))
     }
 
     #[test]
-    fn nonzero_cost_sum_rejected() {
-        let cons = [Constraint::new(0, 1, 1), Constraint::new(1, 0, 0)];
-        let mut solver = DualSolver::new(2, &cons).unwrap();
-        assert_eq!(solver.solve(&[1, 1]), Err(DualError::Unbounded));
+    fn self_loops_are_vacuous_or_infeasible() {
+        let cons = [
+            Constraint::new(0, 0, 0),
+            Constraint::new(0, 1, 1),
+            Constraint::new(1, 0, 0),
+        ];
+        assert_eq!(solve_once(&[-1, 1], &cons).unwrap().1, -1);
+        let negative = [Constraint::new(0, 0, -1)];
+        assert_eq!(solve_once(&[0], &negative), Err(DualError::Infeasible));
+    }
+
+    #[test]
+    fn small_programs_reach_their_optimum() {
+        // Chain closed by r2 − r0 ≤ 0: minimising r0 − r2 gives 0.
+        let chain = [
+            Constraint::new(0, 1, 2),
+            Constraint::new(1, 2, 2),
+            Constraint::new(2, 0, 0),
+        ];
+        assert_eq!(solve_once(&[1, 0, -1], &chain).unwrap().1, 0);
+        // r0 − r1 ≥ 1 encoded as r1 − r0 ≤ −1: minimising r0 − r1 gives 1.
+        let forced = [Constraint::new(1, 0, -1), Constraint::new(0, 1, 5)];
+        assert_eq!(solve_once(&[1, -1], &forced).unwrap().1, 1);
+        // Diamond 0 → {1, 2} → 3 with closures: maximising r0 − r3 gives
+        // min(1 + 2, 4 + 2) = 3.
+        let diamond = [
+            Constraint::new(0, 1, 1),
+            Constraint::new(1, 0, 0),
+            Constraint::new(0, 2, 4),
+            Constraint::new(2, 0, 0),
+            Constraint::new(1, 3, 2),
+            Constraint::new(3, 1, 0),
+            Constraint::new(2, 3, 2),
+            Constraint::new(3, 2, 0),
+        ];
+        assert_eq!(solve_once(&[-1, 0, 0, 1], &diamond).unwrap().1, -3);
+        // Parallel constraints: maximising r0 − r1, the tighter (0, 1)
+        // bound governs.
+        let parallel = [
+            Constraint::new(0, 1, 5),
+            Constraint::new(0, 1, 1),
+            Constraint::new(1, 0, 0),
+        ];
+        assert_eq!(solve_once(&[-1, 1], &parallel).unwrap().1, -1);
+        // A zero objective returns any feasible point.
+        let loose = [Constraint::new(0, 1, 1), Constraint::new(1, 0, 2)];
+        assert_eq!(solve_once(&[0, 0], &loose).unwrap().1, 0);
     }
 
     #[test]

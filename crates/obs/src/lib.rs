@@ -7,7 +7,7 @@
 //! pulling in `tracing`/`metrics`/`serde`: like [`lacr-prng`], it is
 //! dependency-free by design so the workspace stays hermetic.
 //!
-//! Four pieces live here:
+//! These pieces live here:
 //!
 //! * **Spans** — [`span!`] opens an RAII-timed region
 //!   (`let _g = span!("lac.round", round = r);`). Nested spans track
@@ -29,6 +29,9 @@
 //!   of recent records (every diag line and event, plus the full record
 //!   stream when a collector is installed) and dumps it as a JSONL
 //!   postmortem on panic, degraded exit, or budget expiry.
+//! * **JSON** — [`json_escape`] writes strings and [`json::parse_json`]
+//!   reads documents back, for the serve protocol and the artifact
+//!   checkers alike.
 //!
 //! The tracer is *globally* installed ([`init`] / [`finish`]) and
 //! thread-safe (one mutexed collector). When no sink is installed the
@@ -40,6 +43,7 @@
 
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod mem;
 pub mod report;
 pub mod scope;

@@ -987,7 +987,7 @@ pub fn serve_unix_socket(config: &ServeConfig, path: &std::path::Path) -> std::i
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lacr_bench::json::{parse_json, Json};
+    use lacr_obs::json::{parse_json, Json};
     use lacr_obs::Histogram;
 
     fn run_lines_with_stats(config: &ServeConfig, lines: &[&str]) -> (Vec<String>, ServeStats) {

@@ -54,8 +54,8 @@
 //!   stay live even when every worker is busy.
 
 use crate::cache::CacheCounts;
-use lacr_bench::json::{parse_json, Json};
 use lacr_core::summary::PlanSummary;
+use lacr_obs::json::{parse_json, Json};
 use lacr_obs::json_escape;
 use lacr_obs::window::WindowSnapshot;
 use lacr_par::PoolStats;
@@ -843,6 +843,21 @@ mod tests {
         assert!(e.message.contains("mutually exclusive"), "{}", e.message);
         let e = parse_line(r#"{"id":"z","circuit":"a","budget_ms":-3}"#).unwrap_err();
         assert!(e.message.contains("budget_ms"), "{}", e.message);
+    }
+
+    /// A line nested far past the parser's cap is a malformed request,
+    /// not a stack overflow that would abort the daemon.
+    #[test]
+    fn deep_nesting_is_a_malformed_request() {
+        for line in ["[".repeat(50_000), "{\"a\":".repeat(50_000)] {
+            let e = parse_line(&line).unwrap_err();
+            assert_eq!(e.id, None);
+            assert!(
+                e.message.starts_with("malformed JSON: nesting deeper"),
+                "{}",
+                e.message
+            );
+        }
     }
 
     #[test]

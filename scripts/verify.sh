@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification: exactly what CI runs, runnable offline.
 #
-#   scripts/verify.sh                # build + tests + format check
+#   scripts/verify.sh                # build (all targets) + layering + tests + format check
 #   scripts/verify.sh --quick        # skip the slow integration suites
 #   scripts/verify.sh --faults       # fault-injection suite + no-panic CLI smoke
 #   scripts/verify.sh --metrics      # observability smoke: JSONL stream validated
@@ -409,8 +409,16 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo build --release (warnings are errors)"
-RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
+echo "==> cargo build --release --all-targets (warnings are errors)"
+# --all-targets also compiles the harness = false benches, which no
+# cargo test run builds: an API they alone use cannot vanish unnoticed.
+RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace --all-targets
+
+echo "==> layering: the serve daemon does not link the benchmark crate"
+if cargo tree --offline -p lacr-serve -e normal | grep -q "lacr-bench"; then
+    echo "error: lacr-serve depends on lacr-bench" >&2
+    exit 1
+fi
 
 if [[ "$QUICK" == 1 ]]; then
     echo "==> cargo test (lib/unit tests only)"

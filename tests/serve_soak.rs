@@ -2,7 +2,8 @@
 //! a 3-worker daemon. The contract under fire:
 //!
 //! * the daemon never dies (exit 0 even with panic-injected requests);
-//! * every request line gets exactly one structured response line;
+//! * every request line gets exactly one structured response line, a
+//!   line nested 50,000 arrays deep included;
 //! * valid requests produce plan text byte-identical to the one-shot
 //!   `lacr plan` output for the same netlist;
 //! * panics are isolated per request and leave a request-tagged
@@ -10,7 +11,7 @@
 //! * `{"cmd":"stats"}` probes interleaved with the soak answer with
 //!   schema-valid snapshots whose counts stay self-consistent.
 
-use lacr::bench::json::{parse_json, Json};
+use lacr::obs::json::{parse_json, Json};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -23,14 +24,17 @@ fn bench_path(name: &str) -> String {
     format!("{}/tests/data/{name}.bench", env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The request mix, one line per request, cycling through the six
+/// The request mix, one line per request, cycling through the seven
 /// adversarial shapes. Returns (line, expected-kind) pairs.
 fn request_mix() -> Vec<(String, &'static str)> {
     (0..TOTAL)
         .map(|i| {
             let id = format!("soak-{i}");
             match i % 8 {
-                0 => (format!("malformed request {i} {{"), "malformed"),
+                0 if i % 16 == 0 => (format!("malformed request {i} {{"), "malformed"),
+                // Nested far past the JSON parser's depth cap, well
+                // inside the line limit.
+                0 => ("[".repeat(50_000), "deep"),
                 1 => (
                     format!(r#"{{"id":"{id}","bench_path":"/no/such/soak-{i}.bench"}}"#),
                     "unknown-path",
@@ -47,7 +51,7 @@ fn request_mix() -> Vec<(String, &'static str)> {
                     "over-budget",
                 ),
                 4 => (
-                    format!(r#"{{"id":"{id}","bench":"{}"}}"#, "x".repeat(8192)),
+                    format!(r#"{{"id":"{id}","bench":"{}"}}"#, "x".repeat(70_000)),
                     "oversized",
                 ),
                 _ => {
@@ -105,7 +109,7 @@ fn soak_200_requests_against_a_3_worker_daemon() {
             "--queue-cap",
             "300",
             "--max-line-bytes",
-            "4096",
+            "65536",
             "--flight-recorder-out",
         ])
         .arg(flight_dir.join("last-run.jsonl"))
@@ -218,13 +222,24 @@ fn soak_200_requests_against_a_3_worker_daemon() {
             None => anonymous += 1,
         }
     }
-    // Malformed lines (id unrecoverable) + oversized lines (discarded
-    // unread) answer with id null.
+    // Malformed and deep lines (id unrecoverable) + oversized lines
+    // (discarded unread) answer with id null.
     let expected_anonymous = mix
         .iter()
-        .filter(|(_, kind)| matches!(*kind, "malformed" | "oversized"))
+        .filter(|(_, kind)| matches!(*kind, "malformed" | "deep" | "oversized"))
         .count();
     assert_eq!(anonymous, expected_anonymous);
+    // Each deep line got a structured error naming the depth cap; the
+    // requests after it are answered below.
+    let too_deep = responses
+        .iter()
+        .filter_map(|r| r.get("error")?.get("message")?.as_str())
+        .filter(|m| m.starts_with("malformed JSON: nesting deeper"))
+        .count();
+    assert_eq!(
+        too_deep,
+        mix.iter().filter(|(_, kind)| *kind == "deep").count()
+    );
 
     let reference: BTreeMap<&str, (Vec<String>, &str)> = [
         ("valid-counter3", one_shot_reference("counter3")),
@@ -236,7 +251,7 @@ fn soak_200_requests_against_a_3_worker_daemon() {
     for (i, (_, kind)) in mix.iter().enumerate() {
         let id = format!("soak-{i}");
         match *kind {
-            "malformed" | "oversized" => continue, // counted above
+            "malformed" | "deep" | "oversized" => continue, // counted above
             "unknown-path" => {
                 let r = by_id[&id];
                 assert_eq!(r.get("status").and_then(Json::as_str), Some("error"));

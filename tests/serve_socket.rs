@@ -22,7 +22,7 @@
 
 #![cfg(unix)]
 
-use lacr::bench::json::{parse_json, Json};
+use lacr::obs::json::{parse_json, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
