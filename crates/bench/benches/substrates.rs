@@ -2,17 +2,17 @@
 //! dual solve, partitioning, sequence-pair packing + annealing, global
 //! routing and the repeater DP.
 
-use lacr_floorplan::anneal::{floorplan, FloorplanConfig};
 use lacr_floorplan::seqpair::SequencePair;
 use lacr_floorplan::tiles::{CapacityLedger, TileGrid, TileGridConfig};
+use lacr_floorplan::{anneal::FloorplanConfig, try_floorplan};
 use lacr_floorplan::{BlockSpec, Floorplan};
 use lacr_mcmf::{Constraint, DualSolver};
 use lacr_netlist::bench89;
 use lacr_partition::{partition, PartitionConfig};
 use lacr_prng::bench::Harness;
 use lacr_prng::Rng;
-use lacr_repeater::insert_repeaters;
-use lacr_route::{route, NetPins, RouteConfig};
+use lacr_repeater::try_insert_repeaters;
+use lacr_route::{try_route, NetPins, RouteConfig};
 use lacr_timing::Technology;
 
 fn bench_flow(c: &mut Harness) {
@@ -68,7 +68,7 @@ fn bench_floorplan(c: &mut Harness) {
     g.sample_size(10);
     g.bench_function("anneal_12_blocks_2k_moves", |b| {
         b.iter(|| {
-            floorplan(
+            try_floorplan(
                 &blocks,
                 &[],
                 &FloorplanConfig {
@@ -76,6 +76,7 @@ fn bench_floorplan(c: &mut Harness) {
                     ..Default::default()
                 },
             )
+            .unwrap()
         })
     });
     g.finish();
@@ -93,7 +94,7 @@ fn bench_route(c: &mut Harness) {
         })
         .collect();
     c.bench_function("route_200nets_16x16", |b| {
-        b.iter(|| route(nx, ny, &nets, &RouteConfig::default()))
+        b.iter(|| try_route(nx, ny, &nets, &RouteConfig::default()).unwrap())
     });
 }
 
@@ -109,7 +110,7 @@ fn bench_repeater(c: &mut Harness) {
     c.bench_function("repeater_dp_32cell_path", |b| {
         b.iter(|| {
             let mut ledger = CapacityLedger::new(&grid);
-            insert_repeaters(&path, &grid, &mut ledger, &tech)
+            try_insert_repeaters(&path, &grid, &mut ledger, &tech).unwrap()
         })
     });
 }

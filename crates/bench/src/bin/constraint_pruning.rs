@@ -13,14 +13,13 @@
 //! cargo run --release -p lacr-bench --bin constraint_pruning [circuit ...]
 //! ```
 
-use lacr_core::planner::build_physical_plan;
+use lacr_core::planner::try_build_physical_plan;
 use lacr_retime::{generate_period_constraints, weighted_min_area_retiming, WdSubstrate};
 use std::time::Instant;
 
 fn main() {
     let mut circuits: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut circuits);
-    obs.install();
+    let obs = lacr_bench::ObsOptions::setup(&mut circuits, None);
     if circuits.is_empty() {
         circuits = vec!["s641".into(), "s953".into(), "s1196".into()];
     }
@@ -37,7 +36,13 @@ fn main() {
                 continue;
             }
         };
-        let plan = build_physical_plan(&circuit, &config, &[]);
+        let plan = match try_build_physical_plan(&circuit, &config, &[]) {
+            Ok(p) => p,
+            Err(e) => {
+                lacr_obs::diag!("{name}: {e}");
+                continue;
+            }
+        };
         let graph = &plan.expanded.graph;
         let areas: Vec<f64> = graph.vertex_ids().map(|v| graph.area(v)).collect();
         let t0 = Instant::now();
@@ -79,4 +84,5 @@ fn main() {
             Err(e) => println!("{name:<8} | error: {e}"),
         }
     }
+    obs.finish();
 }

@@ -9,14 +9,13 @@
 //! cargo run --release -p lacr-bench --bin fig2_tilegraph [circuit]
 //! ```
 
-use lacr_core::planner::{build_physical_plan, plan_retimings};
+use lacr_core::planner::{try_build_physical_plan, try_plan_retimings};
 use lacr_core::render::{congestion_ascii, tile_ascii, tile_ascii_legend, tile_svg};
 use std::fs;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut args);
-    obs.install();
+    let obs = lacr_bench::ObsOptions::setup(&mut args, None);
     let circuit_name = args.first().cloned().unwrap_or_else(|| "s953".to_string());
     let config = lacr_bench::experiment_planner();
     let circuit = match lacr_netlist::bench89::generate(&circuit_name) {
@@ -26,7 +25,13 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let plan = build_physical_plan(&circuit, &config, &[]);
+    let plan = match try_build_physical_plan(&circuit, &config, &[]) {
+        Ok(p) => p,
+        Err(e) => {
+            lacr_obs::diag!("{circuit_name}: {e}");
+            std::process::exit(1);
+        }
+    };
     println!(
         "{}: chip {:.1} x {:.1} mm, {} x {} cells, {} tiles ({} merged soft)",
         circuit_name,
@@ -42,7 +47,7 @@ fn main() {
     println!("\nrouting congestion (worst adjacent edge / capacity):");
     println!("{}", congestion_ascii(&plan, config.route.edge_capacity));
 
-    let report = match plan_retimings(&plan, &config) {
+    let report = match try_plan_retimings(&plan, &config) {
         Ok(r) => r,
         Err(e) => {
             lacr_obs::diag!("retiming failed: {e}");
@@ -59,4 +64,5 @@ fn main() {
         "\nLAC occupancy rendered to {path} (green = occupied within capacity, red = violating); N_FOA = {}",
         report.lac.result.n_foa
     );
+    obs.finish();
 }

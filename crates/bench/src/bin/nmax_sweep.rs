@@ -10,13 +10,12 @@
 //! ```
 
 use lacr_core::lac::{lac_retiming, LacConfig};
-use lacr_core::planner::{build_physical_plan, plan_constraints};
+use lacr_core::planner::{plan_constraints, try_build_physical_plan};
 use std::time::Instant;
 
 fn main() {
     let mut circuits: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut circuits);
-    obs.install();
+    let obs = lacr_bench::ObsOptions::setup(&mut circuits, None);
     if circuits.is_empty() {
         circuits = vec!["s1196".into(), "s1269".into()];
     }
@@ -34,7 +33,13 @@ fn main() {
                 continue;
             }
         };
-        let plan = build_physical_plan(&circuit, &config, &[]);
+        let plan = match try_build_physical_plan(&circuit, &config, &[]) {
+            Ok(p) => p,
+            Err(e) => {
+                lacr_obs::diag!("{name}: {e}");
+                continue;
+            }
+        };
         let pc = plan_constraints(&plan);
         for &n_max in &patience {
             let lac_cfg = LacConfig {
@@ -54,4 +59,5 @@ fn main() {
             }
         }
     }
+    obs.finish();
 }

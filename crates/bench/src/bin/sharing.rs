@@ -11,13 +11,12 @@
 //! cargo run --release -p lacr-bench --bin sharing [circuit ...]
 //! ```
 
-use lacr_core::planner::{build_physical_plan, plan_constraints};
+use lacr_core::planner::{plan_constraints, try_build_physical_plan};
 use lacr_retime::{shared_min_area_retiming, shared_register_count, weighted_min_area_retiming};
 
 fn main() {
     let mut circuits: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut circuits);
-    obs.install();
+    let obs = lacr_bench::ObsOptions::setup(&mut circuits, None);
     if circuits.is_empty() {
         circuits = vec!["s344".into(), "s641".into(), "s953".into()];
     }
@@ -34,7 +33,13 @@ fn main() {
                 continue;
             }
         };
-        let plan = build_physical_plan(&circuit, &config, &[]);
+        let plan = match try_build_physical_plan(&circuit, &config, &[]) {
+            Ok(p) => p,
+            Err(e) => {
+                lacr_obs::diag!("{name}: {e}");
+                continue;
+            }
+        };
         let pc = plan_constraints(&plan);
         let graph = &plan.expanded.graph;
         let areas: Vec<f64> = graph.vertex_ids().map(|v| graph.area(v)).collect();
@@ -62,4 +67,5 @@ fn main() {
             shared_opt.shared_registers,
         );
     }
+    obs.finish();
 }

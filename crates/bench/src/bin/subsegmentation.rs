@@ -16,12 +16,11 @@
 //! ```
 
 use lacr_core::expand::ExpandOptions;
-use lacr_core::planner::{build_physical_plan, plan_retimings, PlannerConfig};
+use lacr_core::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
 
 fn main() {
     let mut circuits: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut circuits);
-    obs.install();
+    let obs = lacr_bench::ObsOptions::setup(&mut circuits, None);
     if circuits.is_empty() {
         circuits = vec!["s953".into(), "s1196".into()];
     }
@@ -47,8 +46,14 @@ fn main() {
                 },
                 ..base.clone()
             };
-            let plan = build_physical_plan(&circuit, &config, &[]);
-            match plan_retimings(&plan, &config) {
+            let plan = match try_build_physical_plan(&circuit, &config, &[]) {
+                Ok(p) => p,
+                Err(e) => {
+                    println!("{name:<8} {subs:>5}: error: {e}");
+                    continue;
+                }
+            };
+            match try_plan_retimings(&plan, &config) {
                 Ok(report) => println!(
                     "{name:<8} {subs:>5} {:>12} | {:>8} {:>9.2} {:>9.2} | {:>6} {:>6}",
                     if conservative {
@@ -66,4 +71,5 @@ fn main() {
             }
         }
     }
+    obs.finish();
 }

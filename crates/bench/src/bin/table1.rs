@@ -22,8 +22,7 @@ use std::time::Instant;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = ObsOptions::from_args(&mut args);
-    obs.install();
+    let obs = ObsOptions::setup(&mut args, None);
     if !lacr_obs::is_enabled() {
         // No sink requested: aggregate quietly so the RUN record still
         // gets its quality blocks.
@@ -116,5 +115,5 @@ fn main() {
         Ok(path) => lacr_obs::diag!("quality run record written to {path}"),
         Err(e) => lacr_obs::diag!("cannot write run record: {e}"),
     }
-    lacr_obs::finish();
+    obs.finish();
 }

@@ -36,60 +36,110 @@ use lacr_core::experiment::TableRow;
 use lacr_core::planner::PlannerConfig;
 use std::io::Write as _;
 
-/// Observability flags shared by every artifact binary: `--quiet`
-/// silences the `[lacr]` stderr diagnostics, `--trace` streams spans to
-/// stderr, `--metrics-out <path>` writes the full JSONL record stream,
-/// `--trace-chrome <path>` writes a Chrome trace-event JSON file,
-/// `--threads <n>` caps the parallel-region worker pool (results are
-/// bit-identical at any thread count), `--flight-recorder-out <path>`
-/// arms the always-on flight recorder to dump its postmortem there.
+/// Observability flags shared by `lacr` and every artifact binary:
+/// `--quiet` silences the `[lacr]` stderr diagnostics, `--trace` streams
+/// spans to stderr, `--metrics-out <path>` writes the full JSONL record
+/// stream, `--trace-chrome <path>` writes a Chrome trace-event JSON file,
+/// `--report` prints the per-stage self-time table after the run,
+/// `--report-json <path>` writes the same report as schema-versioned
+/// JSON, `--threads <n>` caps the parallel-region worker pool (results
+/// are bit-identical at any thread count), and
+/// `--flight-recorder-out <path>` arms the flight recorder to dump its
+/// postmortem there.
 #[derive(Debug, Default)]
 pub struct ObsOptions {
     /// Suppress `[lacr]` diagnostics on stderr.
     pub quiet: bool,
     /// Stream spans/counters to stderr as they happen.
     pub trace: bool,
+    /// Print the self-time table when the run finishes.
+    pub report: bool,
+    /// Write the ranked JSON report here when the run finishes.
+    pub report_json: Option<String>,
     /// Write every record to this JSONL file.
     pub metrics_out: Option<String>,
     /// Write a Chrome trace-event JSON file here on exit.
     pub trace_chrome: Option<String>,
     /// Worker-pool cap for parallel regions.
     pub threads: Option<usize>,
-    /// Arm the flight recorder to dump its ring here on panic or
-    /// budget expiry.
+    /// Arm the flight recorder to dump its ring here on panic, degraded
+    /// exit or budget expiry.
     pub flight_out: Option<String>,
 }
 
 impl ObsOptions {
     /// Extracts the observability flags from `args`, removing them so
-    /// only the binary's own positional arguments remain.
-    pub fn from_args(args: &mut Vec<String>) -> Self {
+    /// only the command's own arguments remain.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message when a flag lacks its value or `--threads` is
+    /// not a positive integer.
+    pub fn from_args(args: &mut Vec<String>) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut rest = Vec::with_capacity(args.len());
         let mut it = std::mem::take(args).into_iter();
+        let value = |flag: &str, it: &mut std::vec::IntoIter<String>| {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--quiet" => opts.quiet = true,
                 "--trace" => opts.trace = true,
-                "--metrics-out" => opts.metrics_out = it.next(),
-                "--trace-chrome" => opts.trace_chrome = it.next(),
-                "--flight-recorder-out" => opts.flight_out = it.next(),
+                "--report" => opts.report = true,
+                "--metrics-out" => opts.metrics_out = Some(value(&a, &mut it)?),
+                "--trace-chrome" => opts.trace_chrome = Some(value(&a, &mut it)?),
+                "--report-json" => opts.report_json = Some(value(&a, &mut it)?),
+                "--flight-recorder-out" => opts.flight_out = Some(value(&a, &mut it)?),
                 "--threads" => {
-                    opts.threads = it.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
+                    let n: usize = value(&a, &mut it)?
+                        .parse()
+                        .map_err(|e| format!("--threads: {e}"))?;
+                    if n == 0 {
+                        return Err("--threads must be at least 1".into());
+                    }
+                    opts.threads = Some(n);
                 }
                 _ => rest.push(a),
             }
         }
         *args = rest;
+        Ok(opts)
+    }
+
+    /// Parses the flags out of `args` and installs them; a binary's one
+    /// call before it reads its own arguments. `default_flight_out` arms
+    /// the flight recorder when `--flight-recorder-out` is absent.
+    ///
+    /// Exits the process with status 2 on a malformed flag and 1 when a
+    /// sink cannot be opened, after a one-line `error:` diagnostic.
+    pub fn setup(args: &mut Vec<String>, default_flight_out: Option<&str>) -> Self {
+        let mut opts = Self::from_args(args).unwrap_or_else(|e| {
+            lacr_obs::diag!("error: {e}");
+            std::process::exit(2);
+        });
+        if opts.flight_out.is_none() {
+            opts.flight_out = default_flight_out.map(String::from);
+        }
+        if let Err(e) = opts.install() {
+            lacr_obs::diag!("error: {e}");
+            std::process::exit(1);
+        }
         opts
     }
 
     /// Installs the requested diagnostics level and sinks. Several
-    /// sinks at once fan out through a [`lacr_obs::sink::TeeSink`].
-    /// Always installs the flight recorder's panic hook;
-    /// `--flight-recorder-out` additionally arms an automatic dump
-    /// path.
-    pub fn install(&self) {
+    /// sinks at once fan out through a [`lacr_obs::sink::TeeSink`];
+    /// `--report` / `--report-json` alone install a null sink
+    /// (aggregation only). Always installs the flight recorder's panic
+    /// hook, and arms its dump path when `flight_out` is set.
+    ///
+    /// # Errors
+    ///
+    /// The `--metrics-out` file cannot be created.
+    pub fn install(&self) -> Result<(), String> {
         // Allocation counting honors `LACR_MEM=0|off`; applied here (not
         // inside the allocator, which must never read the environment).
         lacr_obs::mem::init_tracking_from_env();
@@ -101,10 +151,9 @@ impl ObsOptions {
         }
         let mut sinks: Vec<Box<dyn lacr_obs::sink::Sink + Send>> = Vec::new();
         if let Some(path) = &self.metrics_out {
-            match lacr_obs::sink::JsonlSink::create(path) {
-                Ok(sink) => sinks.push(Box::new(sink)),
-                Err(e) => lacr_obs::diag!("cannot open {path}: {e}"),
-            }
+            let sink =
+                lacr_obs::sink::JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
+            sinks.push(Box::new(sink));
         }
         if self.trace {
             sinks.push(Box::new(lacr_obs::sink::StderrSink));
@@ -113,7 +162,11 @@ impl ObsOptions {
             sinks.push(Box::new(lacr_obs::ChromeTraceSink::create(path)));
         }
         match sinks.len() {
-            0 => {}
+            0 => {
+                if self.report || self.report_json.is_some() {
+                    lacr_obs::init(Box::new(lacr_obs::sink::NullSink));
+                }
+            }
             1 => lacr_obs::init(sinks.pop().expect("one sink")),
             _ => lacr_obs::init(Box::new(lacr_obs::sink::TeeSink::new(sinks))),
         }
@@ -121,6 +174,37 @@ impl ObsOptions {
             lacr_obs::flight::arm(path);
         }
         lacr_obs::flight::install_panic_hook();
+        Ok(())
+    }
+
+    /// Flushes the sinks ([`lacr_obs::finish`]: the JSONL summary line,
+    /// the Chrome trace) and renders the aggregate report as asked:
+    /// `--report` prints the self-time table to stdout, `--report-json`
+    /// writes the ranked JSON.
+    ///
+    /// Exits the process with status 1 when the `--report-json` file
+    /// cannot be written.
+    pub fn finish(&self) {
+        let report = lacr_obs::finish();
+        if self.report {
+            match &report {
+                Some(r) => print!("{}", r.self_time_table()),
+                None => eprintln!("--report: no observability data collected"),
+            }
+        }
+        if let Some(path) = &self.report_json {
+            let Some(r) = &report else {
+                eprintln!("--report-json: no observability data collected");
+                return;
+            };
+            if let Some(parent) = std::path::Path::new(path).parent() {
+                let _ = std::fs::create_dir_all(parent);
+            }
+            if let Err(e) = std::fs::write(path, r.ranked_json() + "\n") {
+                lacr_obs::diag!("--report-json: cannot write {path}: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 }
 
@@ -318,22 +402,49 @@ mod tests {
 
     #[test]
     fn obs_flags_are_stripped_from_args() {
-        let mut args: Vec<String> = [
+        let strings = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut args = strings(&[
             "s344",
             "--quiet",
             "--metrics-out",
             "m.jsonl",
             "--flight-recorder-out",
             "f.jsonl",
+            "--threads",
+            "3",
+            "--report",
             "s1423",
-        ]
-        .map(String::from)
-        .to_vec();
-        let o = ObsOptions::from_args(&mut args);
-        assert!(o.quiet && !o.trace);
+        ]);
+        let o = ObsOptions::from_args(&mut args).unwrap();
+        assert!(o.quiet && o.report && !o.trace);
         assert_eq!(o.metrics_out.as_deref(), Some("m.jsonl"));
         assert_eq!(o.flight_out.as_deref(), Some("f.jsonl"));
+        assert_eq!(o.threads, Some(3));
         assert_eq!(args, ["s344", "s1423"]);
+
+        // The daemon command line the serve benchmark spawns.
+        let mut args = strings(&["--threads", "1", "--quiet", "serve", "--socket", "d.sock"]);
+        let o = ObsOptions::from_args(&mut args).unwrap();
+        assert!(o.quiet && o.threads == Some(1));
+        assert_eq!(args, ["serve", "--socket", "d.sock"]);
+
+        // A flag missing its value is an error, whether it comes last or
+        // is followed by another flag.
+        for bad in [
+            &["s344", "--metrics-out"][..],
+            &["--metrics-out", "--quiet"],
+            &["--report-json"],
+            &["--trace-chrome", "--report"],
+            &["--flight-recorder-out"],
+            &["--threads"],
+        ] {
+            let err = ObsOptions::from_args(&mut strings(bad)).unwrap_err();
+            assert!(err.contains("needs a value"), "{bad:?}: {err}");
+        }
+        for bad in ["abc", "0", "-1", ""] {
+            let err = ObsOptions::from_args(&mut strings(&["--threads", bad])).unwrap_err();
+            assert!(err.starts_with("--threads"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! execution times, plus the second planning iteration's `N_FOA` for
 //! circuits whose violations could not be removed in one pass.
 
-use crate::planner::{plan_with_iterations, PlannerConfig};
+use crate::error::PlanError;
+use crate::planner::{try_plan_with_iterations, PlannerConfig};
 use lacr_netlist::bench89;
-use lacr_retime::RetimeError;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -70,7 +70,7 @@ pub struct TableRow {
     /// Second-iteration `N_FOA` when the first left violations:
     /// `Some(Ok(n))`, or `Some(Err(_))` when the frozen target period
     /// became infeasible after floorplan expansion (the paper's s1269).
-    pub second_iteration: Option<Result<i64, RetimeError>>,
+    pub second_iteration: Option<Result<i64, PlanError>>,
     /// `N_FOA` after each weighted re-retiming round of the LAC loop
     /// (the convergence trajectory; its length tracks `n_wr`).
     pub n_foa_trajectory: Vec<i64>,
@@ -88,7 +88,7 @@ pub fn run_circuit(
     config: &PlannerConfig,
 ) -> Result<TableRow, Box<dyn std::error::Error>> {
     let circuit = bench89::generate(name)?;
-    let iterated = plan_with_iterations(&circuit, config)?;
+    let iterated = try_plan_with_iterations(&circuit, config)?;
     let (plan, report) = &iterated.first;
     Ok(TableRow {
         circuit: name.to_string(),

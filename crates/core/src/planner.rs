@@ -270,22 +270,14 @@ impl PlanReport {
 /// insertion and graph expansion, plus the `T_init`/`T_min`/`T_clk`
 /// analysis.
 ///
-/// # Panics
+/// Every input defect comes back as a stage-tagged [`PlanError`], and
+/// budget expiry degrades the plan ([`PhysicalPlan::degradations`])
+/// instead of running unbounded.
 ///
-/// Panics on any input [`try_build_physical_plan`] rejects — malformed
-/// circuit/technology/config, or a `growth` vector that does not have one
-/// entry per block.
-pub fn build_physical_plan(
-    circuit: &Circuit,
-    config: &PlannerConfig,
-    growth: &[f64],
-) -> PhysicalPlan {
-    try_build_physical_plan(circuit, config, growth).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`build_physical_plan`]: every input defect comes
-/// back as a stage-tagged [`PlanError`], and budget expiry degrades the
-/// plan ([`PhysicalPlan::degradations`]) instead of running unbounded.
+/// # Errors
+///
+/// Returns a [`PlanError`] on a malformed circuit, technology or config,
+/// or a `growth` vector that does not have one entry per block.
 pub fn try_build_physical_plan(
     circuit: &Circuit,
     config: &PlannerConfig,
@@ -674,31 +666,8 @@ pub fn plan_constraints(plan: &PhysicalPlan) -> PeriodConstraints {
     constraints_at(plan, plan.t_clk).expect("path delay accumulation overflowed u64")
 }
 
-/// Runs both retimers (min-area baseline and LAC) on a physical plan.
-///
-/// # Errors
-///
-/// Propagates [`RetimeError::PeriodInfeasible`] if `plan.t_clk` cannot be
-/// met (only possible when the plan was built for a different target, as
-/// in iteration 2 of planning).
-pub fn plan_retimings(
-    plan: &PhysicalPlan,
-    config: &PlannerConfig,
-) -> Result<PlanReport, RetimeError> {
-    plan_retimings_at(plan, config, plan.t_clk)
-}
-
-/// Like [`plan_retimings`] but for an explicit target period (iteration 2
-/// keeps the first iteration's `T_clk`).
-pub fn plan_retimings_at(
-    plan: &PhysicalPlan,
-    config: &PlannerConfig,
-    t_clk: u64,
-) -> Result<PlanReport, RetimeError> {
-    try_plan_retimings_at(plan, config, t_clk).map_err(RetimeError::from)
-}
-
-/// Fallible, fail-soft variant of [`plan_retimings`].
+/// Runs both retimers (min-area baseline and LAC) on a physical plan at
+/// its own target period `plan.t_clk`; see [`try_plan_retimings_at`].
 pub fn try_plan_retimings(
     plan: &PhysicalPlan,
     config: &PlannerConfig,
@@ -706,7 +675,8 @@ pub fn try_plan_retimings(
     try_plan_retimings_at(plan, config, plan.t_clk)
 }
 
-/// Runs both retimers with the full degradation ladder:
+/// Runs both retimers at an explicit target period (iteration 2 keeps
+/// the first iteration's `T_clk`) with the full degradation ladder:
 ///
 /// 1. the min-area baseline falls back to a Bellman-Ford feasible
 ///    retiming if the min-cost-flow dual solve fails unexpectedly;
@@ -714,7 +684,12 @@ pub fn try_plan_retimings(
 /// 3. residual capacity violations and LAC budget expiry are reported as
 ///    [`PlanReport::degradations`] with per-tile overflow diagnostics.
 ///
-/// Only a genuinely infeasible target period remains a hard error.
+/// # Errors
+///
+/// Only a genuinely infeasible target period remains a hard error:
+/// [`RetimeError::PeriodInfeasible`] inside a [`PlanError`], possible
+/// only when `t_clk` is below the plan's own `T_min`, as in iteration 2
+/// of planning.
 pub fn try_plan_retimings_at(
     plan: &PhysicalPlan,
     config: &PlannerConfig,
@@ -968,7 +943,7 @@ pub struct IteratedPlan {
     /// expansion), when one was needed. `Err` mirrors the paper's s1269
     /// case: the frozen target period became infeasible after the
     /// floorplan changed drastically.
-    pub second_n_foa: Option<Result<i64, RetimeError>>,
+    pub second_n_foa: Option<Result<i64, PlanError>>,
 }
 
 /// Runs interconnect planning; when LAC-retiming still has violations,
@@ -977,17 +952,9 @@ pub struct IteratedPlan {
 ///
 /// # Errors
 ///
-/// Propagates retiming errors from the first iteration only; a failed
-/// second iteration is reported inside [`IteratedPlan::second_n_foa`].
-pub fn plan_with_iterations(
-    circuit: &Circuit,
-    config: &PlannerConfig,
-) -> Result<IteratedPlan, RetimeError> {
-    try_plan_with_iterations(circuit, config).map_err(RetimeError::from)
-}
-
-/// Fallible variant of [`plan_with_iterations`] returning the typed
-/// [`PlanError`] for first-iteration failures.
+/// Propagates the first iteration's [`PlanError`] and a failure to build
+/// the second iteration's physical plan; a failed second retiming is
+/// reported inside [`IteratedPlan::second_n_foa`].
 pub fn try_plan_with_iterations(
     circuit: &Circuit,
     config: &PlannerConfig,
@@ -997,7 +964,7 @@ pub fn try_plan_with_iterations(
     let second_n_foa = if report1.lac.result.n_foa > 0 && !config.budget.expired() {
         let growth = growth_from_violations(&plan1, &report1.lac.result, &config.technology, 1.5);
         let plan2 = try_build_physical_plan(circuit, config, &growth)?;
-        Some(plan_retimings_at(&plan2, config, plan1.t_clk).map(|r| r.lac.result.n_foa))
+        Some(try_plan_retimings_at(&plan2, config, plan1.t_clk).map(|r| r.lac.result.n_foa))
     } else {
         None
     };
@@ -1026,7 +993,7 @@ mod tests {
     fn physical_plan_is_consistent() {
         let c = bench89::generate("s344").unwrap();
         let cfg = quick_config();
-        let plan = build_physical_plan(&c, &cfg, &[]);
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
         assert!(plan.t_min <= plan.t_clk && plan.t_clk <= plan.t_init);
         assert_eq!(plan.unit_cell.len(), c.num_units());
         assert_eq!(plan.routing.nets.len(), c.num_nets());
@@ -1040,8 +1007,8 @@ mod tests {
     fn retimings_meet_target_period() {
         let c = bench89::generate("s344").unwrap();
         let cfg = quick_config();
-        let plan = build_physical_plan(&c, &cfg, &[]);
-        let report = plan_retimings(&plan, &cfg).expect("t_clk >= t_min is feasible");
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+        let report = try_plan_retimings(&plan, &cfg).expect("t_clk >= t_min is feasible");
         assert!(report.min_area.result.outcome.period <= plan.t_clk);
         assert!(report.lac.result.outcome.period <= plan.t_clk);
         // LAC never does worse on violations than the baseline.
@@ -1052,8 +1019,8 @@ mod tests {
     fn growth_targets_violating_blocks() {
         let c = bench89::generate("s344").unwrap();
         let cfg = quick_config();
-        let plan = build_physical_plan(&c, &cfg, &[]);
-        let report = plan_retimings(&plan, &cfg).unwrap();
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+        let report = try_plan_retimings(&plan, &cfg).unwrap();
         let growth = growth_from_violations(&plan, &report.lac.result, &cfg.technology, 1.5);
         assert_eq!(growth.len(), plan.partitioning.blocks.len());
         let has_violations = report.lac.result.n_foa > 0;
@@ -1065,8 +1032,8 @@ mod tests {
     fn deterministic_planning() {
         let c = bench89::generate("s344").unwrap();
         let cfg = quick_config();
-        let p1 = build_physical_plan(&c, &cfg, &[]);
-        let p2 = build_physical_plan(&c, &cfg, &[]);
+        let p1 = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+        let p2 = try_build_physical_plan(&c, &cfg, &[]).unwrap();
         assert_eq!(p1.t_init, p2.t_init);
         assert_eq!(p1.t_min, p2.t_min);
         assert_eq!(p1.unit_cell, p2.unit_cell);
@@ -1093,7 +1060,7 @@ mod hard_block_tests {
             },
             ..Default::default()
         };
-        let plan = build_physical_plan(&c, &cfg, &[]);
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
         let hard_blocks = plan.floorplan.blocks.iter().filter(|b| b.hard).count();
         assert_eq!(hard_blocks, 2);
         // Hard cells are individual tiles with exactly the site capacity.
@@ -1106,7 +1073,7 @@ mod hard_block_tests {
         }
         assert!(saw_hard_tile, "expected per-cell hard tiles");
         // Planning still succeeds end to end.
-        let report = plan_retimings(&plan, &cfg).expect("feasible");
+        let report = try_plan_retimings(&plan, &cfg).expect("feasible");
         assert!(report.lac.result.n_foa <= report.min_area.result.n_foa);
     }
 
@@ -1122,7 +1089,7 @@ mod hard_block_tests {
             },
             ..Default::default()
         };
-        let plan = build_physical_plan(&c, &hard_cfg, &[]);
+        let plan = try_build_physical_plan(&c, &hard_cfg, &[]).unwrap();
         let mut hard_tiles = 0usize;
         for t in plan.grid.tile_ids() {
             if let TileKind::Hard(_) = plan.grid.kind(t) {
@@ -1156,8 +1123,8 @@ mod timing_driven_tests {
             timing_driven_route: true,
             ..base.clone()
         };
-        let p1 = build_physical_plan(&c, &base, &[]);
-        let p2 = build_physical_plan(&c, &td, &[]);
+        let p1 = try_build_physical_plan(&c, &base, &[]).unwrap();
+        let p2 = try_build_physical_plan(&c, &td, &[]).unwrap();
         // Same circuit, same invariants.
         assert_eq!(p2.routing.nets.len(), c.num_nets());
         assert_eq!(
@@ -1172,7 +1139,7 @@ mod timing_driven_tests {
             }
         }
         // And it still plans.
-        let report = plan_retimings(&p2, &td).expect("feasible");
+        let report = try_plan_retimings(&p2, &td).expect("feasible");
         assert!(report.lac.result.outcome.period <= p2.t_clk);
     }
 }

@@ -1,4 +1,5 @@
-//! Simulated-annealing floorplanner over sequence pairs.
+//! Simulated-annealing floorplanner over sequence pairs, run through
+//! [`crate::try_floorplan`].
 
 use crate::seqpair::SequencePair;
 use crate::{BlockSpec, Floorplan, PlacedBlock};
@@ -7,7 +8,7 @@ use lacr_prng::{Rng, SliceRandom};
 /// Aspect-ratio choices explored for soft blocks.
 const SOFT_ASPECTS: [f64; 5] = [0.5, 0.75, 1.0, 4.0 / 3.0, 2.0];
 
-/// Configuration for [`floorplan`].
+/// Configuration for [`crate::try_floorplan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloorplanConfig {
     /// Number of annealing moves.
@@ -51,24 +52,13 @@ impl Default for FloorplanConfig {
 // tracing overhead shift which move the deadline lands on, making
 // `rounds_completed` differ between traced and untraced runs.
 
-/// Computes a floorplan for `blocks`. `nets` lists, per net, the indices
-/// of the blocks it touches (used for the half-perimeter wirelength term);
-/// nets touching fewer than two distinct blocks are ignored.
-///
-/// The annealer explores sequence-pair swaps and soft-block aspect
-/// changes, minimising `chip_area + λ · HPWL` (both normalised by their
-/// initial values so `λ` is dimensionless).
-///
-/// # Examples
-///
-/// ```
-/// use lacr_floorplan::{anneal::{floorplan, FloorplanConfig}, BlockSpec};
-///
-/// let blocks: Vec<BlockSpec> = (0..6).map(|i| BlockSpec::soft(100.0 + i as f64)).collect();
-/// let fp = floorplan(&blocks, &[vec![0, 5], vec![1, 2, 3]], &FloorplanConfig::default());
-/// assert!(fp.validate(1e-6).is_empty());
-/// ```
-pub fn floorplan(blocks: &[BlockSpec], nets: &[Vec<usize>], config: &FloorplanConfig) -> Floorplan {
+/// The annealer behind [`crate::try_floorplan`], which validates the
+/// specs first; on valid specs it always returns a legal layout.
+pub(crate) fn floorplan(
+    blocks: &[BlockSpec],
+    nets: &[Vec<usize>],
+    config: &FloorplanConfig,
+) -> Floorplan {
     let restarts = config.restarts.max(1);
     if restarts == 1 {
         return anneal_once(blocks, nets, config, config.seed).2;

@@ -9,22 +9,24 @@
 //! * [`seqpair`] — sequence-pair evaluation (block positions via the
 //!   horizontal/vertical constraint longest paths);
 //! * [`anneal`] — a simulated-annealing floorplanner over sequence pairs
-//!   (area + wirelength cost, soft-block aspect moves);
+//!   (area + wirelength cost, soft-block aspect moves), run through
+//!   [`try_floorplan`];
 //! * [`tiles`] — the tile graph with capacities and a consumption ledger.
 //!
 //! # Examples
 //!
 //! ```
-//! use lacr_floorplan::{anneal::{floorplan, FloorplanConfig}, BlockSpec};
+//! use lacr_floorplan::{anneal::FloorplanConfig, try_floorplan, BlockSpec};
 //!
 //! let blocks = vec![
 //!     BlockSpec::soft(400.0),
 //!     BlockSpec::soft(300.0),
 //!     BlockSpec::hard(20.0, 10.0),
 //! ];
-//! let fp = floorplan(&blocks, &[], &FloorplanConfig::default());
+//! let fp = try_floorplan(&blocks, &[], &FloorplanConfig::default())?;
 //! assert_eq!(fp.blocks.len(), 3);
 //! assert!(fp.utilization() > 0.3);
+//! # Ok::<(), lacr_floorplan::FloorplanError>(())
 //! ```
 
 pub mod anneal;
@@ -78,8 +80,30 @@ pub fn validate_specs(blocks: &[BlockSpec]) -> Result<(), FloorplanError> {
     Ok(())
 }
 
-/// Fallible front door for [`anneal::floorplan`]: validates the specs
-/// and only then runs the annealer (which cannot fail on valid input).
+/// Computes a floorplan for `blocks`. `nets` lists, per net, the indices
+/// of the blocks it touches (used for the half-perimeter wirelength term);
+/// nets touching fewer than two distinct blocks are ignored.
+///
+/// The annealer explores sequence-pair swaps and soft-block aspect
+/// changes, minimising `chip_area + λ · HPWL` (both normalised by their
+/// initial values so `λ` is dimensionless).
+///
+/// # Errors
+///
+/// Returns [`FloorplanError::InvalidBlock`] for the first block spec
+/// with a non-positive or non-finite area or dimension (the annealer
+/// itself cannot fail on valid input).
+///
+/// # Examples
+///
+/// ```
+/// use lacr_floorplan::{anneal::FloorplanConfig, try_floorplan, BlockSpec};
+///
+/// let blocks: Vec<BlockSpec> = (0..6).map(|i| BlockSpec::soft(100.0 + i as f64)).collect();
+/// let fp = try_floorplan(&blocks, &[vec![0, 5], vec![1, 2, 3]], &FloorplanConfig::default())?;
+/// assert!(fp.validate(1e-6).is_empty());
+/// # Ok::<(), lacr_floorplan::FloorplanError>(())
+/// ```
 pub fn try_floorplan(
     blocks: &[BlockSpec],
     nets: &[Vec<usize>],

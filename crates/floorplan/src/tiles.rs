@@ -201,11 +201,6 @@ impl TileGrid {
         cy * self.nx + cx
     }
 
-    /// Grid coordinates of a linear cell index.
-    pub fn cell_coords(&self, cell: usize) -> (usize, usize) {
-        (cell % self.nx, cell / self.nx)
-    }
-
     /// The cell containing point `(x, y)` (clamped to the chip).
     pub fn cell_of_point(&self, x: f64, y: f64) -> usize {
         let cx = ((x / self.tile_size) as isize).clamp(0, self.nx as isize - 1) as usize;
@@ -216,11 +211,6 @@ impl TileGrid {
     /// The tile a cell belongs to.
     pub fn tile_of_cell(&self, cell: usize) -> TileId {
         TileId(self.cell_tile[cell])
-    }
-
-    /// The tile containing point `(x, y)`.
-    pub fn tile_of_point(&self, x: f64, y: f64) -> TileId {
-        self.tile_of_cell(self.cell_of_point(x, y))
     }
 
     /// Kind of a tile.

@@ -211,27 +211,25 @@ impl<'a> Parser<'a> {
                         b't' => s.push('\t'),
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            s.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                        b'u' => s.push(self.unicode_escape()?),
                         other => return Err(format!("bad escape \\{}", char::from(other))),
                     }
                     self.pos += 1;
                 }
+                b @ 0..=0x1f => {
+                    return Err(format!(
+                        "unescaped control character 0x{b:02x} in string at byte {}",
+                        self.pos
+                    ))
+                }
                 _ => {
-                    // Copy the run up to the next quote or backslash in
-                    // one piece. Both are ASCII, so the run ends on a
-                    // character boundary, as every token before it does.
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one piece. All are ASCII, so the run
+                    // ends on a character boundary, as every token before
+                    // it does.
                     let run = self.bytes[self.pos..]
                         .iter()
-                        .position(|&b| matches!(b, b'"' | b'\\'))
+                        .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
                         .unwrap_or(self.bytes.len() - self.pos);
                     let end = self.pos + run;
                     s.push_str(
@@ -243,6 +241,51 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `self.pos`, joining a
+    /// UTF-16 surrogate pair written as two escapes into one character.
+    /// Leaves `self.pos` on the last hex digit read.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let unit = self.hex4()?;
+        let cp = match unit {
+            0xd800..=0xdbff => {
+                if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+                    return Err(format!("lone high surrogate at byte {}", self.pos));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&low) {
+                    return Err(format!("lone high surrogate at byte {}", self.pos));
+                }
+                0x1_0000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
+            }
+            0xdc00..=0xdfff => return Err(format!("lone low surrogate at byte {}", self.pos)),
+            _ => unit,
+        };
+        Ok(char::from_u32(cp).expect("surrogates are excluded"))
+    }
+
+    /// Reads the four hex digits after the `u` at `self.pos` and moves
+    /// `self.pos` onto the last of them.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or("truncated \\u escape")?;
+        let mut unit = 0;
+        for &d in digits {
+            let v = char::from(d).to_digit(16).ok_or_else(|| {
+                format!(
+                    "bad \\u escape digit {:?} at byte {}",
+                    char::from(d),
+                    self.pos
+                )
+            })?;
+            unit = unit * 16 + v;
+        }
+        self.pos += 4;
+        Ok(unit)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -296,6 +339,50 @@ mod tests {
         );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("d"));
         assert_eq!(v.get("a").unwrap().as_arr().map(<[Json]>::len), Some(2));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        // Python's json.dumps writes U+1F600 as two UTF-16 escapes.
+        assert_eq!(
+            parse_json("\"\\ud83d\\ude00!\"").unwrap(),
+            Json::Str("\u{1f600}!".into())
+        );
+        assert_eq!(
+            parse_json("\"\\uD83D\\uDE00\"").unwrap(),
+            Json::Str("\u{1f600}".into())
+        );
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for doc in [
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\n\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ude00\"",
+            "\"\\ude00\\ud83d\"",
+        ] {
+            assert!(parse_json(doc).is_err(), "{doc} parsed");
+        }
+    }
+
+    #[test]
+    fn raw_control_bytes_in_strings_are_rejected() {
+        for b in [0u8, 0x09, 0x0a, 0x1f] {
+            let doc = format!("\"a{}b\"", char::from(b));
+            let err = parse_json(&doc).unwrap_err();
+            assert!(err.contains("control character"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_only_hex_digits() {
+        for doc in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u00g1\""] {
+            let err = parse_json(doc).unwrap_err();
+            assert!(err.contains("escape digit"), "{doc}: {err}");
+        }
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl WdSubstrate {
         self.num_vertices
     }
 
-    /// Number of candidates retained in the band.
-    pub fn num_candidates(&self) -> usize {
-        self.cands.len()
-    }
-
     /// Emits the pruned period constraints for `target` — bit-identical to
     /// a fresh generation at that target.
     ///

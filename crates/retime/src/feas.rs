@@ -13,7 +13,7 @@
 //!
 //! The constraint oracle is **incremental across probes**: the W/D
 //! substrate ([`WdSubstrate`]) is built once for the whole search bracket
-//! (one `retime.wd_build` span per [`min_period_retiming`] call, counted
+//! (one `retime.wd_build` span per [`try_min_period_retiming`] call, counted
 //! by `retime.probe` / `retime.wd_cache_hits`), each probe re-emits its
 //! constraint set with a linear scan, and Bellman–Ford warm-starts from
 //! the previous feasible probe's potentials
@@ -26,7 +26,7 @@ use crate::graph::RetimeGraph;
 use crate::minarea::RetimeError;
 use lacr_mcmf::{Constraint, DifferenceConstraints};
 
-/// Result of [`min_period_retiming`].
+/// Result of [`try_min_period_retiming`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinPeriodResult {
     /// The minimum feasible clock period (integer picoseconds).
@@ -56,8 +56,7 @@ pub struct MinPeriodOutcome {
 ///
 /// # Panics
 ///
-/// Panics if path-delay accumulation overflows `u64` (see
-/// [`try_feasible_retiming`] for the checked variant).
+/// Panics if path-delay accumulation overflows `u64`.
 ///
 /// # Examples
 ///
@@ -79,14 +78,10 @@ pub fn feasible_retiming(graph: &RetimeGraph, target: u64) -> Option<Vec<i64>> {
     try_feasible_retiming(graph, target).expect("path delay accumulation overflowed u64")
 }
 
-/// Checked variant of [`feasible_retiming`]: `Ok(None)` means infeasible,
-/// `Err` a typed arithmetic failure.
-///
-/// # Errors
-///
-/// [`RetimeError::DelayOverflow`] when accumulating path delays overflows
-/// `u64`.
-pub fn try_feasible_retiming(
+/// Checked form of [`feasible_retiming`]: `Ok(None)` means infeasible,
+/// `Err(`[`RetimeError::DelayOverflow`]`)` that accumulating path delays
+/// overflowed `u64`.
+fn try_feasible_retiming(
     graph: &RetimeGraph,
     target: u64,
 ) -> Result<Option<Vec<i64>>, RetimeError> {
@@ -215,47 +210,16 @@ impl<'g> SubstrateOracle<'g> {
     }
 }
 
-/// Computes the minimum feasible clock period and a retiming achieving it.
+/// Computes the minimum feasible clock period and a retiming achieving
+/// it, returning the search's W/D substrate for reuse.
 ///
 /// Binary-searches integer periods between the largest single-vertex delay
-/// (no retiming can beat it) and the unretimed period.
-///
-/// # Panics
-///
-/// Panics if the graph's zero-weight subgraph is cyclic (the circuit was
-/// invalid: some directed cycle carries no flip-flop) or path delays
-/// overflow `u64`; see [`try_min_period_retiming`] for the checked
-/// variant.
-pub fn min_period_retiming(graph: &RetimeGraph) -> MinPeriodResult {
-    min_period_retiming_with_tolerance(graph, 0)
-}
-
-/// Like [`min_period_retiming`], but stops the binary search once the
-/// bracket `[infeasible, feasible]` is narrower than `tolerance_ps`,
-/// returning the feasible end after one final downward probe at the
-/// bracket floor. The result is at most `tolerance_ps` above the true
-/// optimum — and *exact* whenever the floor itself is feasible, whatever
-/// the tolerance.
-///
-/// # Panics
-///
-/// Panics if the graph's zero-weight subgraph is cyclic or path delays
-/// overflow `u64`.
-pub fn min_period_retiming_with_tolerance(
-    graph: &RetimeGraph,
-    tolerance_ps: u64,
-) -> MinPeriodResult {
-    match try_min_period_retiming(graph, tolerance_ps) {
-        Ok(outcome) => outcome.result,
-        Err(RetimeError::CombinationalCycle) => {
-            panic!("valid circuit: every cycle must carry a flip-flop")
-        }
-        Err(e) => panic!("min-period retiming failed: {e}"),
-    }
-}
-
-/// Checked min-period retiming returning the search's W/D substrate for
-/// reuse.
+/// (no retiming can beat it) and the unretimed period. With a nonzero
+/// `tolerance_ps` the search stops once the bracket `[infeasible,
+/// feasible]` is narrower than the tolerance, returning the feasible end
+/// after one final downward probe at the bracket floor. The result is at
+/// most `tolerance_ps` above the true optimum — and *exact* whenever the
+/// floor itself is feasible, whatever the tolerance.
 ///
 /// # Errors
 ///
@@ -349,7 +313,7 @@ mod tests {
     #[test]
     fn feas_balances_two_vertex_loop() {
         let g = two_vertex_loop();
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 5);
         let w = g.retimed_weights(&res.retiming);
         assert_eq!(g.clock_period(&w), Some(5));
@@ -368,7 +332,7 @@ mod tests {
         let b = g.add_vertex(VertexKind::Functional, 3, 1.0, None);
         g.add_edge(a, b, 1);
         g.add_edge(b, a, 1);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 3);
     }
 
@@ -384,7 +348,7 @@ mod tests {
         g.add_edge(vs[1], vs[2], 0);
         g.add_edge(vs[2], vs[3], 0);
         g.add_edge(vs[3], vs[0], 0);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 4);
     }
 
@@ -399,7 +363,7 @@ mod tests {
         g.add_edge(h, a, 2);
         g.add_edge(a, b, 0);
         g.add_edge(b, h, 0);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 5);
         let w = g.retimed_weights(&res.retiming);
         // Retiming preserves the h→a→b→h path-weight sum because both
@@ -418,7 +382,7 @@ mod tests {
         let a = g.add_vertex(VertexKind::Functional, 9, 1.0, None);
         g.add_edge(h, a, 0);
         g.add_edge(a, h, 0);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 9);
         assert!(feasible_retiming(&g, 8).is_none());
     }
@@ -435,14 +399,14 @@ mod tests {
         g.add_edge(h, a, 1);
         g.add_edge(a, b, 0);
         g.add_edge(b, h, 1);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 4);
     }
 
     #[test]
     fn empty_graph() {
         let g = RetimeGraph::new();
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 0);
     }
 
@@ -451,7 +415,7 @@ mod tests {
         let mut g = RetimeGraph::new();
         let a = g.add_vertex(VertexKind::Functional, 7, 1.0, None);
         g.add_edge(a, a, 1);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 7);
     }
 
@@ -466,7 +430,7 @@ mod tests {
         // wide as the initial bracket means the loop body never runs.
         let g = two_vertex_loop();
         for tol in [1, 3, 5, 10, 100] {
-            let res = min_period_retiming_with_tolerance(&g, tol);
+            let res = try_min_period_retiming(&g, tol).unwrap().result;
             assert_eq!(res.period, 5, "tolerance {tol}");
             let w = g.retimed_weights(&res.retiming);
             assert_eq!(g.clock_period(&w), Some(5), "tolerance {tol}");
@@ -592,7 +556,7 @@ mod tests {
                     g.add_edge(vs[a], vs[b], w);
                 }
             }
-            let fast = min_period_retiming(&g).period;
+            let fast = try_min_period_retiming(&g, 0).unwrap().result.period;
             // Slow oracle: smallest T whose cold constraint system is
             // feasible (scanning up from the max single-vertex delay).
             let unretimed = g.clock_period(&g.weights()).expect("valid circuit");

@@ -7,8 +7,8 @@
 //! cargo run --release --example verilog_flow
 //! ```
 
-use lacr::core::planner::{build_physical_plan, plan_retimings, PlannerConfig};
-use lacr::core::retimed_circuit;
+use lacr::core::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
+use lacr::core::try_retimed_circuit;
 use lacr::netlist::verilog;
 
 const DESIGN: &str = r"
@@ -45,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         num_blocks: Some(2),
         ..Default::default()
     };
-    let plan = build_physical_plan(&circuit, &config, &[]);
-    let report = plan_retimings(&plan, &config)?;
+    let plan = try_build_physical_plan(&circuit, &config, &[])?;
+    let report = try_plan_retimings(&plan, &config)?;
     println!(
         "planned at T_clk = {:.2} ns (T_init {:.2} ns): {} flip-flops after LAC-retiming",
         plan.t_clk as f64 / 1000.0,
@@ -54,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.lac.result.n_f
     );
 
-    let retimed = retimed_circuit(&circuit, &plan.expanded, &report.lac.result.outcome.weights);
+    let retimed =
+        try_retimed_circuit(&circuit, &plan.expanded, &report.lac.result.outcome.weights)?;
     let out = verilog::write(&retimed);
     println!("\n-- retimed structural Verilog ----------------------------------");
     print!("{out}");

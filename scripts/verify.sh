@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification: exactly what CI runs, runnable offline.
 #
-#   scripts/verify.sh                # build (all targets) + layering + tests + format check
+#   scripts/verify.sh                # build (all targets) + perfbench check + layering + tests + format check
 #   scripts/verify.sh --quick        # skip the slow integration suites
 #   scripts/verify.sh --faults       # fault-injection suite + no-panic CLI smoke
 #   scripts/verify.sh --metrics      # observability smoke: JSONL stream validated
@@ -413,6 +413,11 @@ echo "==> cargo build --release --all-targets (warnings are errors)"
 # --all-targets also compiles the harness = false benches, which no
 # cargo test run builds: an API they alone use cannot vanish unnoticed.
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace --all-targets
+
+echo "==> cargo check perfbench (the benchmark harness, a workspace of its own)"
+# No cargo test run builds the harness: a public-API change that breaks
+# it must fail here, not in the benchmark run.
+cargo check --manifest-path perfbench/Cargo.toml --offline --locked --target-dir target
 
 echo "==> layering: the serve daemon does not link the benchmark crate"
 if cargo tree --offline -p lacr-serve -e normal | grep -q "lacr-bench"; then

@@ -48,6 +48,27 @@ fn arb_string(rng: &mut Rng) -> String {
         .collect()
 }
 
+/// Escapes `s` the way Python's `json.dumps` does by default: ASCII
+/// stays literal except for the quote, the backslash and control
+/// characters, and every other character becomes `\uXXXX` escapes of
+/// its UTF-16 code units (a surrogate pair beyond the BMP).
+fn python_escape(s: &str) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            ' '..='\u{7f}' => out.push(c),
+            _ => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                }
+            }
+        }
+    }
+    out
+}
+
 lacr_prng::properties! {
     cases = 256;
 
@@ -91,6 +112,14 @@ lacr_prng::properties! {
     fn json_escape_round_trips(rng) {
         let s = arb_string(rng);
         let quoted = format!("\"{}\"", json_escape(&s));
+        prop_assert_eq!(parse_json(&quoted), Ok(Json::Str(s)));
+    }
+
+    /// `parse_json` reads back a string escaped the way Python's
+    /// `json.dumps` escapes it, surrogate pairs included.
+    fn python_escapes_round_trip(rng) {
+        let s = arb_string(rng);
+        let quoted = format!("\"{}\"", python_escape(&s));
         prop_assert_eq!(parse_json(&quoted), Ok(Json::Str(s)));
     }
 

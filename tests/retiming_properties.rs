@@ -6,7 +6,7 @@
 
 use lacr::mcmf::{Constraint, DifferenceConstraints, DualSolver};
 use lacr::retime::{
-    feasible_retiming, generate_period_constraints, min_area_retiming, min_period_retiming,
+    feasible_retiming, generate_period_constraints, min_area_retiming, try_min_period_retiming,
     RetimeGraph, VertexKind,
 };
 use lacr_prng::{prop_assert, prop_assert_eq, Rng};
@@ -50,11 +50,11 @@ lacr_prng::properties! {
         prop_assert_eq!(ring0, ring1);
     }
 
-    /// `min_period_retiming` returns a feasible retiming, and one below
+    /// `try_min_period_retiming` returns a feasible retiming, and one below
     /// its reported optimum does not exist.
     fn min_period_is_tight(rng) {
         let g = arb_graph(rng);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         let w = g.retimed_weights(&res.retiming);
         prop_assert!(g.weights_legal(&w));
         let p = g.clock_period(&w).expect("legal");
@@ -81,7 +81,7 @@ lacr_prng::properties! {
     fn constraints_characterise_feasibility(rng) {
         let g = arb_graph(rng);
         let slack = rng.gen_range(0u64..6);
-        let mp = min_period_retiming(&g);
+        let mp = try_min_period_retiming(&g, 0).unwrap().result;
         let t = mp.period + slack;
         let pc = generate_period_constraints(&g, t).unwrap();
         let mut cons = lacr::retime::edge_constraints(&g);
@@ -100,7 +100,7 @@ lacr_prng::properties! {
     fn pruning_is_equivalence_preserving(rng) {
         let g = arb_graph(rng);
         let slack = rng.gen_range(0u64..4);
-        let t = min_period_retiming(&g).period + slack;
+        let t = try_min_period_retiming(&g, 0).unwrap().result.period + slack;
         let pruned = generate_period_constraints(&g, t).unwrap();
         prop_assert!(pruned.constraints.len() <= pruned.pairs_before_pruning);
         let mut cons = lacr::retime::edge_constraints(&g);
@@ -209,10 +209,7 @@ lacr_prng::properties! {
     /// the per-connection total of the same solution, and its optimum is
     /// at most the shared score of the sum-model optimum.
     fn sharing_bounds(rng) {
-        use lacr::retime::{
-            generate_period_constraints, shared_min_area_retiming, shared_register_count,
-            weighted_min_area_retiming,
-        };
+        use lacr::retime::{generate_period_constraints, shared_min_area_retiming, shared_register_count, weighted_min_area_retiming};
         let g = arb_graph(rng);
         let t = g.clock_period(&g.weights()).expect("valid circuit");
         let pc = generate_period_constraints(&g, t).unwrap();
